@@ -1,9 +1,9 @@
 """Exact-integer invariants and exclusion sieves for space-curve moduli.
 
 Subpackages: bounds (numerical invariants and genus caps), surfaces
-(divisor arithmetic on ruled surfaces and cones), sieve (the exclusion
-sieve and classification tables), verify (brute-force sweeps), cli
-(command-line interface).
+(divisor arithmetic on ruled surfaces), sieve (the exclusion sieve and
+classification tables), verify (brute-force sweeps), cli (command-line
+interface).
 """
 
 from .bounds import (
@@ -11,11 +11,9 @@ from .bounds import (
     CurveClass,
     agh_cap,
     brill_noether,
-    bundle_dims,
     castelnuovo_profile,
     embed_dim_cap,
     euler_normal,
-    gonality_locus_dim,
     image_dim_r3,
     max_genus_pi,
     quadric_types,
@@ -38,13 +36,9 @@ from .sieve import (
     scan,
 )
 from .surfaces import (
-    ConeParameters,
     DivisorClass,
     SplitCertificate,
     arith_genus,
-    cone_parameters,
-    cone_pushforward_h0,
-    elliptic_h0,
     find_stable_split,
     intersect,
     smooth_irreducible_exists,
@@ -54,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CastelnuovoProfile",
-    "ConeParameters",
     "CurveClass",
     "DivisorClass",
     "Ineq",
@@ -68,19 +61,14 @@ __all__ = [
     "alpha_cap",
     "arith_genus",
     "brill_noether",
-    "bundle_dims",
     "case_slack",
     "castelnuovo_profile",
-    "cone_parameters",
-    "cone_pushforward_h0",
     "derived_satisfied",
     "derived_slack",
-    "elliptic_h0",
     "embed_dim_cap",
     "euler_normal",
     "find_stable_split",
     "genus_caps_ok",
-    "gonality_locus_dim",
     "image_dim_r3",
     "intersect",
     "max_genus_pi",

@@ -153,24 +153,3 @@ def image_dim_r3(d: int, h1_normal: int) -> int:
     """
     return 4 * d - 15 + h1_normal
 
-
-def gonality_locus_dim(g: int, k: int) -> int:
-    """Dimension 2g + 2k - 5 of the locus of genus-g curves with a degree-k pencil.
-
-    Defined for 2 <= k <= (g+3)/2 (below the generic gonality).  Used for
-    reporting only, never inside the exclusion sieve.
-    """
-    if g < 2:
-        raise ValueError(f"need genus >= 2, got {g}")
-    if k < 2 or 2 * k > g + 3:
-        raise ValueError(f"pencil degree {k} out of range for genus {g}")
-    return 2 * g + 2 * k - 5
-
-
-def bundle_dims(r: int, alpha: int) -> tuple[int, int]:
-    """(Grassmannian, projectivity-group) dimension pair ((r+1)(alpha-r), r^2+2r)."""
-    if r < 3:
-        raise ValueError(f"need r >= 3, got {r}")
-    if alpha < r:
-        raise ValueError(f"need alpha >= r, got alpha={alpha}, r={r}")
-    return (r + 1) * (alpha - r), r * r + 2 * r

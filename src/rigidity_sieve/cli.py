@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import sys
 import time
 
@@ -44,6 +43,14 @@ def bounded_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if abs(value) > MAX_INPUT:
         raise argparse.ArgumentTypeError(f"magnitude exceeds 2^63 - 1: {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """bounded_int restricted to values >= 1."""
+    value = bounded_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
     return value
 
 
@@ -151,7 +158,7 @@ def _sweep_row(d: int, g: int, r: int) -> dict:
 
 
 def _sweep_chunk(args: tuple) -> list:
-    r, d_lo, d_hi, g_max, in_range_only = args
+    d_lo, d_hi, r, g_max, in_range_only = args
     rows = []
     for d in range(d_lo, d_hi + 1):
         if r == 3:
@@ -183,20 +190,8 @@ def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False
     in-range genus limit when filtering to the hypothesis range; for
     r = 3 the grid is the reduced range g in [max(d, 5), pi(d, 3)].
     """
-    workers = verify.resolve_workers()
-    if workers > 1 and d_max >= 128:
-        step = max(16, d_max // (4 * workers))
-        chunks = [
-            (r, lo, min(lo + step - 1, d_max), g_max, in_range_only)
-            for lo in range(1, d_max + 1, step)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sweep_chunk, chunks)
-        rows = [row for part in parts for row in part]
-    else:
-        rows = _sweep_chunk((r, 1, d_max, g_max, in_range_only))
-    rows.sort(key=lambda row: (row["d"], row["g"]))
-    return rows
+    parts = verify.map_degree_chunks(_sweep_chunk, d_max, r, g_max, in_range_only)
+    return [row for part in parts for row in part]
 
 
 CSV_COLUMNS = ["d", "g", "r", "verdict", "witnesses", "alpha_list", "range_thm41"]
@@ -254,43 +249,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 SUITES = ("spots", "r3", "thm41", "derived", "case34", "r11", "r5window", "splits", "all")
 
 
+# Default --d-max of each suite that takes one; `verify all` keeps r3 at 200.
+_D_MAX_DEFAULT = {"r3": 200, "thm41": 500, "case34": 400, "r11": 400}
+# The r values `verify all` runs for each suite that needs --r on its own.
+_ALL_R = {"thm41": range(4, 11), "derived": range(4, 11), "r11": (11, 12)}
+
+
 def _run_suite(args: argparse.Namespace) -> list:
-    suite = args.suite
-    reports = []
-    if suite in ("spots", "all"):
-        reports.append(verify.verify_spot_values())
-    if suite in ("r3", "all"):
-        reports.append(verify.verify_thm_r3((args.d_max or 200) if suite == "r3" else 200))
-    if suite == "thm41":
-        if args.r is None:
-            raise ValueError("verify thm41 requires --r")
-        reports.append(
-            verify.verify_thm41(args.r, args.d_max or 500, honor_exception=not args.no_exception)
-        )
-    elif suite == "all":
-        for r in range(4, 11):
-            reports.append(verify.verify_thm41(r, args.d_max or 500))
-    if suite == "derived":
-        if args.r is None:
-            raise ValueError("verify derived requires --r")
-        reports.append(verify.verify_derived_claims(args.r, args.alpha_max))
-    elif suite == "all":
-        for r in range(4, 11):
-            reports.append(verify.verify_derived_claims(r, args.alpha_max))
-    if suite in ("case34", "all"):
-        reports.append(verify.verify_case34_never(args.r_lo, args.r_hi, args.d_max or 400))
-    if suite == "r11":
-        if args.r is None:
-            raise ValueError("verify r11 requires --r")
-        reports.append(verify.verify_r_ge_11(args.r, args.d_max or 400))
-    elif suite == "all":
-        for r in (11, 12):
-            reports.append(verify.verify_r_ge_11(r, args.d_max or 400))
-    if suite in ("r5window", "all"):
-        reports.append(verify.verify_r5_window(args.d_lo, args.d_hi))
-    if suite in ("splits", "all"):
-        reports.append(verify.verify_splits(args.a_max, args.b_max, args.e_max))
-    return reports
+    in_all = args.suite == "all"
+
+    def d_max(suite: str) -> int:
+        return _D_MAX_DEFAULT[suite] if args.d_max is None else args.d_max
+
+    runners = {
+        "spots": lambda r: verify.verify_spot_values(),
+        "r3": lambda r: verify.verify_thm_r3(200 if in_all else d_max("r3")),
+        "thm41": lambda r: verify.verify_thm41(
+            r, d_max("thm41"), honor_exception=in_all or not args.no_exception
+        ),
+        "derived": lambda r: verify.verify_derived_claims(r, args.alpha_max),
+        "case34": lambda r: verify.verify_case34_never(args.r_lo, args.r_hi, d_max("case34")),
+        "r11": lambda r: verify.verify_r_ge_11(r, d_max("r11")),
+        "r5window": lambda r: verify.verify_r5_window(args.d_lo, args.d_hi),
+        "splits": lambda r: verify.verify_splits(args.a_max, args.b_max, args.e_max),
+    }
+    if in_all:
+        return [runners[suite](r) for suite in runners for r in _ALL_R.get(suite, (None,))]
+    if args.suite in _ALL_R and args.r is None:
+        raise ValueError(f"verify {args.suite} requires --r")
+    return [runners[args.suite](args.r)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -380,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="verdict table over a degree range")
     p_sweep.add_argument("--r", type=bounded_int, required=True)
-    p_sweep.add_argument("--d-max", type=bounded_int, required=True)
-    p_sweep.add_argument("--g-max", type=bounded_int, default=None)
+    p_sweep.add_argument("--d-max", type=positive_int, required=True)
+    p_sweep.add_argument("--g-max", type=positive_int, default=None)
     p_sweep.add_argument("--in-range-only", action="store_true")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -168,8 +168,13 @@ def alpha_cap(case: SieveCase, d: int, g: int) -> int:
     return (2 * d - g) // 3
 
 
-def _slack_alpha_lo(case: SieveCase, d: int, g: int, r: int) -> int:
-    """Least alpha with case_slack >= 0 (each slack is increasing in alpha)."""
+def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
+    """The alpha window (lo, hi) of a case, empty when lo > hi.
+
+    lo is the least alpha >= r with case_slack >= 0 (each slack is
+    increasing in alpha); hi is the lesser of the embedding cap and
+    the case's alpha_cap.
+    """
     if case is SieveCase.CASE2:
         num = r * d - (r - 3) * g - 4
         den = r - 2
@@ -179,7 +184,7 @@ def _slack_alpha_lo(case: SieveCase, d: int, g: int, r: int) -> int:
     else:
         num = (r + 1) * d - (r - 3) * g - 3
         den = r + 1
-    return -(-num // den)
+    return max(r, -(-num // den)), min(bounds.embed_dim_cap(d, g), alpha_cap(case, d, g))
 
 
 def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
@@ -199,12 +204,10 @@ def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
 def _collect_witnesses(d: int, g: int, r: int, apply_genus_caps: bool = True) -> list[SieveWitness]:
     """All (alpha, case) configurations passing slack, alpha caps and
     (optionally) genus caps; sorted by (alpha, case)."""
-    emb = bounds.embed_dim_cap(d, g)
     found: list[SieveWitness] = []
     cases = (SieveCase.CASE1, SieveCase.CASE2) if d < g else (SieveCase.CASE3, SieveCase.CASE4)
     for case in cases:
-        hi = min(emb, alpha_cap(case, d, g))
-        lo = max(r, _slack_alpha_lo(case, d, g, r))
+        lo, hi = case_alpha_range(case, d, g, r)
         for alpha in range(lo, hi + 1):
             if apply_genus_caps and not genus_caps_ok(d, g, alpha):
                 continue
@@ -311,85 +314,82 @@ def derived_satisfied(which: Ineq, value: int) -> bool:
     return value >= 0
 
 
-def _gt(d: int, g: int, p: int, q: int, s: int) -> bool:
-    """d > (p*g + q)/s by cross-multiplication (s > 0)."""
-    return s * d > p * g + q
-
-
-def range_thm41(d: int, g: int, r: int, *, honor_exception: bool = True) -> bool:
-    """Whether (d, g) lies in the hypothesis range of the r >= 4 theorem.
-
-    All thresholds are exact rational comparisons; the r = 5 window adds
-    the extra clause 3d > g + 22 for 101 <= d <= 113, and r = 9 excepts
-    the single point (30, 34) unless honor_exception is disabled.
-    """
-    if r < 4:
-        raise ValueError(f"hypothesis ranges are defined for r >= 4, got {r}")
-    if g < 1:
-        raise ValueError(f"need g >= 1, got {g}")
-    if r == 4:
-        return (
-            _gt(d, g, 17, 72, 64)
-            or _gt(d, g, 4, 15, 15)
-            or (_gt(d, g, 1, 18, 4) and _gt(d, g, 17, 44, 64))
-        )
-    if r == 5:
-        basic = (
-            _gt(d, g, 9, 20, 20)
-            or _gt(d, g, 10, 17, 22)
-            or (_gt(d, g, 2, 25, 5) and _gt(d, g, 9, 10, 20))
-        )
-        if 101 <= d <= 113:
-            return basic and _gt(d, g, 1, 22, 3)
-        return basic
-    if r == 6:
-        return (
-            _gt(d, g, 13, 20, 22)
-            or _gt(d, g, 3, 3, 5)
-            or (_gt(d, g, 1, 10, 2) and _gt(d, g, 13, 10, 22))
-            or (_gt(d, g, 1, 10, 2) and _gt(d, g, 3, -1, 5))
-        )
-    if r == 7:
-        return _gt(d, g, 19, 24, 27) or (_gt(d, g, 4, 39, 7) and _gt(d, g, 76, 71, 108))
-    if r == 8:
-        return _gt(d, g, 4, 1, 5) or _gt(d, g, 5, -4, 6)
-    if r == 9:
-        if honor_exception and (d, g) == (30, 34):
-            return False
-        return _gt(d, g, 9, -5, 10) or _gt(d, g, 29, 3, 33)
-    if r == 10:
-        return _gt(d, g, 21, -4, 22) or _gt(d, g, 17, 12, 18)
-    if r == 11:
-        return d > g
-    return (r + 1) * d > 2 * (r - 5) * g - r + 14
-
-
-_RANGE_CLAUSES: dict[int, tuple[tuple[int, int, int], ...]] = {
-    4: ((17, 72, 64), (4, 15, 15), (17, 44, 64)),
-    5: ((9, 20, 20), (10, 17, 22), (9, 10, 20)),
-    6: ((13, 20, 22), (3, 3, 5), (13, 10, 22), (3, -1, 5)),
-    7: ((19, 24, 27), (76, 71, 108)),
-    8: ((4, 1, 5), (5, -4, 6)),
-    9: ((9, -5, 10), (29, 3, 33)),
-    10: ((21, -4, 22), (17, 12, 18)),
+# The hypothesis range of the r >= 4 theorem: r -> an OR of ANDs of
+# clauses (p, q, s), each meaning s*d > p*g + q.  Every p is positive,
+# so every clause is down-closed in g.  Rows for r >= 11 come from
+# _range_rows.
+#
+# The paper's r = 6 range has a fourth term, 2d > g + 10 and
+# 5d > 3g - 1, which adds nothing over the integers: 5d > 3g - 1 means
+# 5d >= 3g, which gives 22d > 13g + 10 (so the third term) once g > 50;
+# for g <= 50 the fourth term holds outside 5d > 3g + 3 only at
+# (30, 49), which meets the third term too.
+_RANGE_ROWS: dict[int, tuple] = {
+    4: (((17, 72, 64),), ((4, 15, 15),), ((1, 18, 4), (17, 44, 64))),
+    5: (((9, 20, 20),), ((10, 17, 22),), ((2, 25, 5), (9, 10, 20))),
+    6: (((13, 20, 22),), ((3, 3, 5),), ((1, 10, 2), (13, 10, 22))),
+    7: (((19, 24, 27),), ((4, 39, 7), (76, 71, 108))),
+    8: (((4, 1, 5),), ((5, -4, 6),)),
+    9: (((9, -5, 10),), ((29, 3, 33),)),
+    10: (((21, -4, 22),), ((17, 12, 18),)),
 }
 
 
-def range_g_limit(d: int, r: int) -> int:
-    """An over-approximated upper bound for g with (d, g) in the
-    hypothesis range: every range clause has the shape d > (p*g + q)/s
-    with p > 0, so each is down-closed in g and dies at g = (s*d - q)/p.
-    Callers still filter by range_thm41."""
+def _range_rows(r: int) -> tuple:
+    """The range row of r; for r >= 11 the single clause
+    (r+1)d > 2(r-5)g - r + 14 (at r = 11 that is d > g)."""
     if r < 4:
-        raise ValueError(f"need r >= 4, got {r}")
-    if r == 11:
-        return max(d - 1, 0) + 1
-    if r >= 12:
-        return max(((r + 1) * d + r - 14) // (2 * (r - 5)), 0) + 1
-    lim = 0
-    for p, q, s in _RANGE_CLAUSES[r]:
-        lim = max(lim, (s * d - q) // p)
-    return max(lim, 0) + 1
+        raise ValueError(f"hypothesis ranges are defined for r >= 4, got {r}")
+    return _RANGE_ROWS.get(r) or (((2 * (r - 5), 14 - r, r + 1),),)
+
+
+def range_basic(d: int, g: int, r: int) -> bool:
+    """Whether (d, g) meets the range row of r: some AND of clauses
+    s*d > p*g + q holds, compared exactly by cross-multiplication."""
+    if g < 1:
+        raise ValueError(f"need g >= 1, got {g}")
+    # The table is read directly for r <= 10: verify all makes over a
+    # million calls, and _range_rows costs one more call each.
+    for clauses in _RANGE_ROWS.get(r) or _range_rows(r):
+        for p, q, s in clauses:
+            if s * d <= p * g + q:
+                break
+        else:
+            return True
+    return False
+
+
+def range_r5_window(d: int, g: int) -> bool:
+    """Whether (d, g) meets the clause the r = 5 range adds for 101 <= d <= 113."""
+    return 3 * d > g + 22
+
+
+def range_thm41(d: int, g: int, r: int, *, honor_exception: bool = True) -> bool:
+    """Whether (d, g) lies in the hypothesis range of the r >= 4 theorem:
+    range_basic, cut by range_r5_window for r = 5 and 101 <= d <= 113;
+    r = 9 excepts the single point (30, 34) unless honor_exception is
+    disabled.
+    """
+    if not range_basic(d, g, r):
+        return False
+    if r == 5 and 101 <= d <= 113:
+        return range_r5_window(d, g)
+    if r == 9 and honor_exception:
+        return (d, g) != (30, 34)
+    return True
+
+
+def range_g_limit(d: int, r: int) -> int:
+    """The largest g >= 1 with range_basic(d, g, r), or 0 if none.
+
+    Each clause holds exactly for g <= (s*d - q - 1) // p, so an AND
+    holds up to the least of its clause limits.  range_thm41 can only
+    remove points from range_basic, so callers still filter by it.
+    """
+    limit = 0
+    for clauses in _range_rows(r):
+        limit = max(limit, min((s * d - q - 1) // p for p, q, s in clauses))
+    return limit
 
 
 def r3_sieve(d: int, g: int) -> Verdict:

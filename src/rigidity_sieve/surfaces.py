@@ -6,14 +6,13 @@ class with genus >= 2 degenerates to a union of two smooth irreducible
 curves meeting in >= 3 points (a singular stable curve); the three
 constructions tried first are the canonical ones (section + residual,
 minimal-section multiples, section + comb), then a bounded exhaustive
-search.  Cone bookkeeping (degree decompositions and pushforward
-section counts on an elliptic base) lives here too.
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,6 @@ class SplitCertificate:
             "d2": list(self.d2.as_tuple()),
             "intersection": self.intersection,
         }
-
-
-class ConeParameters(NamedTuple):
-    """d = a*base + eta with eta in {0, 1}: the degree split on a cone."""
-
-    a: int
-    eta: int
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
@@ -142,48 +134,3 @@ def find_stable_split(d: DivisorClass) -> Optional[SplitCertificate]:
                 return cert
     return None
 
-
-def cone_parameters(d: int, base: int) -> ConeParameters:
-    """Write d = a*base + eta with a >= 1 and eta in {0, 1}.
-
-    This is the degree bookkeeping for a smooth curve on a cone over a
-    degree-`base` curve; unique when it exists, otherwise an error.
-    """
-    if d < 1 or base < 2:
-        raise ValueError(f"need d >= 1 and base >= 2, got d={d}, base={base}")
-    a, eta = divmod(d, base)
-    if eta > 1:
-        raise ValueError(f"{d} is not a*{base} or a*{base}+1")
-    if a < 1:
-        raise ValueError(f"{d} too small for base {base}")
-    return ConeParameters(a, eta)
-
-
-def elliptic_h0(deg: int, trivial: bool) -> int:
-    """Sections of a degree-`deg` line bundle on an elliptic curve.
-
-    deg for deg >= 1; at degree 0 the count is 1 exactly for the trivial
-    bundle; negative degrees have none.
-    """
-    if deg >= 1:
-        return deg
-    if deg == 0 and trivial:
-        return 1
-    return 0
-
-
-def cone_pushforward_h0(a: int, deg_m: int, r: int, trivial_indices: set[int]) -> int:
-    """Section count sum_{i=0..a} h0(M(-i)) on an elliptic base of degree r.
-
-    M has degree deg_m, each twist M(-i) has degree deg_m - i*r, and
-    `trivial_indices` marks the i for which M(-i) is the trivial bundle.
-    Comparing the value at a with the value at a-1 detects a base
-    component in the corresponding linear system on the cone.
-    """
-    if a < 1:
-        raise ValueError(f"need a >= 1, got {a}")
-    if r < 3:
-        raise ValueError(f"need r >= 3, got {r}")
-    return sum(
-        elliptic_h0(deg_m - i * r, i in trivial_indices) for i in range(a + 1)
-    )

@@ -72,6 +72,20 @@ def resolve_workers() -> int:
     return workers
 
 
+def map_degree_chunks(fn, d_max: int, *args) -> list:
+    """[fn((d_lo, d_hi, *args)), ...] over degree chunks covering
+    1..d_max, in degree order.  With more than one worker and
+    d_max >= 128 the chunks have equal width and run on a process pool;
+    otherwise one chunk runs in this process."""
+    workers = resolve_workers()
+    if workers > 1 and d_max >= 128:
+        step = max(16, d_max // (4 * workers))
+        chunks = [(lo, min(lo + step - 1, d_max), *args) for lo in range(1, d_max + 1, step)]
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, chunks)
+    return [fn((1, d_max, *args))]
+
+
 def verify_spot_values(grid_max: int = 50) -> VerificationReport:
     """Check the frozen table of hand-computable invariants.
 
@@ -119,6 +133,8 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     """
     if r_lo < 4 or r_lo > r_hi:
         raise ValueError(f"need 4 <= r_lo <= r_hi, got ({r_lo}, {r_hi})")
+    if d_max < 1:
+        raise ValueError(f"need d_max >= 1, got {d_max}")
     report = VerificationReport(
         "case34", {"r_lo": r_lo, "r_hi": r_hi, "d_max": d_max, "g": "2..d"}
     )
@@ -145,7 +161,7 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
 
 
 def _thm41_chunk(args: tuple) -> tuple:
-    r, d_lo, d_hi, honor_exception = args
+    d_lo, d_hi, r, honor_exception = args
     checked = 0
     violations = []
     for d in range(d_lo, d_hi + 1):
@@ -185,21 +201,9 @@ def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> Verificati
             "exception_honored": honor_exception,
         },
     )
-    workers = resolve_workers()
-    if workers > 1 and d_max >= 128:
-        step = max(16, d_max // (4 * workers))
-        chunks = [
-            (r, lo, min(lo + step - 1, d_max), honor_exception)
-            for lo in range(1, d_max + 1, step)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_thm41_chunk, chunks)
-    else:
-        results = [_thm41_chunk((r, 1, d_max, honor_exception))]
-    for checked, violations in results:
+    for checked, violations in map_degree_chunks(_thm41_chunk, d_max, r, honor_exception):
         report.checked += checked
         report.violations.extend(violations)
-    report.violations.sort(key=lambda v: (v["d"], v["g"]))
     return report
 
 
@@ -411,6 +415,8 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """
     if r < 11:
         raise ValueError(f"need r >= 11, got {r}")
+    if d_max < 1:
+        raise ValueError(f"need d_max >= 1, got {d_max}")
     report = VerificationReport("r11", {"r": r, "d_max": d_max, "g": "2..2d"})
     case_bounds = {
         SieveCase.CASE1: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 8,
@@ -424,7 +430,6 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
             if d > 2 * g - 2:
                 continue
             report.checked += 1
-            emb = bounds.embed_dim_cap(d, g)
             if d < g:
                 cases = ((SieveCase.CASE1, -(-d // 3)), (SieveCase.CASE2, -(-d // 3)))
             else:
@@ -432,8 +437,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                 cases = ((SieveCase.CASE3, boundary), (SieveCase.CASE4, boundary))
             is_survivor = False
             for case, boundary_lo in cases:
-                hi = min(emb, sieve.alpha_cap(case, d, g))
-                lo = max(r, sieve._slack_alpha_lo(case, d, g, r))
+                lo, hi = sieve.case_alpha_range(case, d, g, r)
                 for alpha in range(max(lo, boundary_lo), hi + 1):
                     prof = bounds.castelnuovo_profile(d, alpha)
                     pi2_cap = d if case in (SieveCase.CASE1, SieveCase.CASE2) else g - 1
@@ -477,13 +481,15 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
 
 def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     """Enumerate sieve survivors at r = 5 inside the degree window that
-    pass the basic range clause, and confirm each fails the window's
-    extra clause 3d > g + 22 (without which it would slip in-range).
+    pass sieve.range_basic, and confirm each fails the window's extra
+    clause sieve.range_r5_window (without which it would slip in-range).
 
     Calling with a window other than the canonical 101..113 runs in
     diagnostic mode: survivors are reported for inspection only and are
     not violations.
     """
+    if not 1 <= d_lo <= d_hi:
+        raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
     diagnostic = (d_lo, d_hi) != (101, 113)
     report = VerificationReport(
         "r5window",
@@ -492,16 +498,11 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     found = []
     for d in range(d_lo, d_hi + 1):
         for g in range(2, 5 * d // 2 + 1):
-            basic = (
-                20 * d > 9 * g + 20
-                or 22 * d > 10 * g + 17
-                or (5 * d > 2 * g + 25 and 20 * d > 9 * g + 10)
-            )
-            if not basic:
+            if not sieve.range_basic(d, g, 5):
                 continue
             report.checked += 1
             if sieve.scan(d, g, 5).is_survivor:
-                excluded_by_window = 3 * d <= g + 22
+                excluded_by_window = not sieve.range_r5_window(d, g)
                 found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
                 if not diagnostic and not excluded_by_window:
                     report.violations.append({"d": d, "g": g})

@@ -176,29 +176,3 @@ class TestImageDim:
             for h1 in range(0, 5):
                 assert bounds.image_dim_r3(d, h1) == 4 * d - 15 + h1
 
-
-class TestGonalityLocus:
-    def test_values(self):
-        assert bounds.gonality_locus_dim(5, 2) == 9
-        assert bounds.gonality_locus_dim(10, 4) == 23
-        for g in range(2, 30):
-            for k in range(2, (g + 3) // 2 + 1):
-                assert bounds.gonality_locus_dim(g, k) == 2 * g + 2 * k - 5
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            bounds.gonality_locus_dim(1, 2)
-        with pytest.raises(ValueError):
-            bounds.gonality_locus_dim(5, 1)
-        with pytest.raises(ValueError):
-            bounds.gonality_locus_dim(5, 5)
-
-
-class TestBundleDims:
-    def test_values(self):
-        assert bounds.bundle_dims(9, 12) == (30, 99)
-        for r in range(3, 15):
-            for alpha in range(r, r + 20):
-                sections, auto = bounds.bundle_dims(r, alpha)
-                assert sections == (r + 1) * (alpha - r)
-                assert auto == r * r + 2 * r

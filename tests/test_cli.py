@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rigidity_sieve import cli
+from rigidity_sieve import cli, verify
 
 
 def run(capsys, *argv):
@@ -150,6 +150,27 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert rows and all(row["g"] <= 3 for row in rows)
 
+    def test_negative_d_max_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--r", "4", "--d-max", "-5"])
+        assert exc.value.code == 2
+
+    def test_negative_g_max_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--r", "4", "--d-max", "10", "--g-max", "-3"])
+        assert exc.value.code == 2
+
+    def test_pool_path_matches_serial(self, capsys, monkeypatch):
+        args = ("sweep", "--r", "9", "--d-max", "130")
+        monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        code, pooled, _ = run(capsys, *args)
+        assert code == 0
+        monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
+        code, serial, _ = run(capsys, *args)
+        assert code == 0
+        assert pooled == serial
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -190,6 +211,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "derived", "--r", "11")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("r3",),
+            ("thm41", "--r", "4"),
+            ("case34",),
+            ("r11", "--r", "11"),
+        ],
+    )
+    def test_zero_d_max_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--d-max", "0")
+        assert code == 2
+        assert out == "" and "error:" in err
+
+    def test_empty_r5_window_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")
+        assert code == 2
+        assert out == "" and "error:" in err
 
 
 class TestSplit:

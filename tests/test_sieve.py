@@ -74,6 +74,20 @@ class TestCaseMachinery:
                 assert sieve.alpha_cap(SieveCase.CASE3, d, g) == (2 * d - g + 1) // 3
                 assert sieve.alpha_cap(SieveCase.CASE4, d, g) == (2 * d - g) // 3
 
+    def test_case_alpha_range_is_the_slack_feasible_window(self):
+        for r in (4, 9, 12):
+            for d in range(1, 60):
+                for g in range(1, 2 * d + 2):
+                    cap = bounds.embed_dim_cap(d, g)
+                    for case in SieveCase:
+                        lo, hi = sieve.case_alpha_range(case, d, g, r)
+                        want = [
+                            alpha
+                            for alpha in range(r, min(cap, sieve.alpha_cap(case, d, g)) + 1)
+                            if sieve.case_slack(case, d, g, r, alpha) >= 0
+                        ]
+                        assert list(range(lo, hi + 1)) == want
+
     def test_genus_caps_pins(self):
         assert sieve.genus_caps_ok(30, 34, 9)
         assert not sieve.genus_caps_ok(30, 33, 10)
@@ -234,7 +248,23 @@ class TestHypothesisRange:
                 ]
                 # prefix of Trues, then all False: no in-range g above limit
                 assert flags == sorted(flags, reverse=True)
-                assert not any(flags[limit - 1 :])
+                assert not any(flags[limit:])
+                # and the limit is tight: every g in 1..limit is in range
+                if r != 5 or not 101 <= d <= 113:
+                    assert all(flags[:limit])
+
+    def test_r6_row_matches_four_term_form(self):
+        # The range row keeps three of the paper's four r = 6 terms; the
+        # fourth, 2d > g + 10 and 5d > 3g - 1, must add no point.
+        for d in range(1, 400):
+            for g in range(1, 2 * d + 3):
+                four_terms = (
+                    22 * d > 13 * g + 20
+                    or 5 * d > 3 * g + 3
+                    or (2 * d > g + 10 and 22 * d > 13 * g + 10)
+                    or (2 * d > g + 10 and 5 * d > 3 * g - 1)
+                )
+                assert sieve.range_thm41(d, g, 6) == four_terms
 
 
 class TestR3Sieve:

@@ -143,36 +143,3 @@ class TestFindStableSplit:
         cert = surfaces.find_stable_split(DivisorClass(4, 9, 2))
         assert cert.to_dict() == {"d1": [4, 8, 2], "d2": [0, 1, 2], "intersection": 4}
 
-
-class TestConeBookkeeping:
-    def test_cone_parameters(self):
-        assert surfaces.cone_parameters(8, 4) == (2, 0)
-        assert surfaces.cone_parameters(9, 4) == (2, 1)
-        with pytest.raises(ValueError):
-            surfaces.cone_parameters(10, 4)
-        with pytest.raises(ValueError):
-            surfaces.cone_parameters(3, 4)
-
-    def test_elliptic_h0(self):
-        assert [surfaces.elliptic_h0(k, False) for k in (-2, -1, 0, 1, 2, 5)] == [
-            0,
-            0,
-            0,
-            1,
-            2,
-            5,
-        ]
-        assert surfaces.elliptic_h0(0, True) == 1
-
-    def test_cone_pushforward_h0(self):
-        # a = 2, deg 9 on a base of degree 4: twists have degrees 9, 5, 1.
-        assert surfaces.cone_pushforward_h0(2, 9, 4, set()) == 9 + 5 + 1
-        # Degree-0 twist counts only when marked trivial.
-        assert surfaces.cone_pushforward_h0(2, 8, 4, set()) == 8 + 4 + 0
-        assert surfaces.cone_pushforward_h0(2, 8, 4, {2}) == 8 + 4 + 1
-
-    def test_cone_pushforward_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            surfaces.cone_pushforward_h0(0, 9, 4, set())
-        with pytest.raises(ValueError):
-            surfaces.cone_pushforward_h0(2, 9, 2, set())
