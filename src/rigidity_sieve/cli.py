@@ -139,13 +139,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_row(d: int, g: int, r: int) -> dict:
-    if r == 3:
-        verdict = sieve.r3_sieve(d, g)
-        in_range = None
-    else:
-        verdict = sieve.scan(d, g, r)
-        in_range = sieve.range_thm41(d, g, r) if g >= 1 else None
+def _sweep_row(d: int, g: int, r: int, in_range) -> dict:
+    """One sweep row; in_range is the in-range genera of degree d, or
+    None for r = 3, where the range column is empty."""
+    verdict = sieve.r3_sieve(d, g) if r == 3 else sieve.scan(d, g, r)
     return {
         "d": d,
         "g": g,
@@ -153,7 +150,7 @@ def _sweep_row(d: int, g: int, r: int) -> dict:
         "verdict": _VERDICT_LABEL[verdict.outcome],
         "witnesses": len(verdict.witnesses),
         "alpha_list": [w.alpha for w in verdict.witnesses],
-        "range_thm41": in_range,
+        "range_thm41": None if in_range is None else g in in_range,
     }
 
 
@@ -162,36 +159,38 @@ def _sweep_chunk(args: tuple) -> list:
     rows = []
     for d in range(d_lo, d_hi + 1):
         if r == 3:
-            if d < 3:
-                continue
-            g_hi = bounds.max_genus_pi(d, 3)
-            if g_max is not None:
-                g_hi = min(g_hi, g_max)
-            for g in range(max(d, 5), g_hi + 1):
-                rows.append(_sweep_row(d, g, 3))
+            in_range = None
+            genera = sieve.r3_genera(d)
         else:
-            if g_max is not None:
-                g_hi = g_max
-            elif in_range_only:
-                g_hi = sieve.range_g_limit(d, r)
-            else:
-                g_hi = 2 * d
-            for g in range(1, g_hi + 1):
-                if in_range_only and not sieve.range_thm41(d, g, r):
-                    continue
-                rows.append(_sweep_row(d, g, r))
+            in_range = sieve.range_genera(d, r)
+            genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
+        for g in genera:
+            if g_max is not None and g > g_max:
+                break
+            rows.append(_sweep_row(d, g, r, in_range))
     return rows
 
 
 def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False) -> list:
-    """All sweep rows, ordered by (d, g).
+    """All sweep rows, ordered by (d, g), with g cut at g_max when given.
 
-    For r >= 4 the genus range defaults to 2d per degree, or to the
-    in-range genus limit when filtering to the hypothesis range; for
-    r = 3 the grid is the reduced range g in [max(d, 5), pi(d, 3)].
+    For r >= 4 the genus range is 1..g_max (default 2d) per degree, or
+    the in-range genera when filtering to the hypothesis range; for
+    r = 3 it is the reduced grid sieve.r3_genera.
     """
     parts = verify.map_degree_chunks(_sweep_chunk, d_max, r, g_max, in_range_only)
     return [row for part in parts for row in part]
+
+
+def _r3_grid_is_empty(d_max: int, g_max) -> bool:
+    """Whether no degree d <= d_max has an r = 3 grid point g <= g_max.
+    r3_genera(d) starts at g >= d, so degrees above g_max add none and
+    the scan stays bounded."""
+    d_hi = d_max if g_max is None else min(d_max, g_max)
+    return not any(
+        genera and (g_max is None or genera[0] <= g_max)
+        for genera in map(sieve.r3_genera, range(1, d_hi + 1))
+    )
 
 
 CSV_COLUMNS = ["d", "g", "r", "verdict", "witnesses", "alpha_list", "range_thm41"]
@@ -223,6 +222,8 @@ def render_sweep_csv(rows: list) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.r == 3 and args.in_range_only:
         raise ValueError("--in-range-only requires r >= 4")
+    if args.r == 3 and _r3_grid_is_empty(args.d_max, args.g_max):
+        raise ValueError("the r = 3 reduced grid is empty within --d-max and --g-max")
     started = time.monotonic()
     rows = run_sweep(args.r, args.d_max, args.g_max, args.in_range_only)
     if args.format == "csv":
@@ -310,11 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    try:
-        divisor = DivisorClass(args.a, args.b, args.e)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    divisor = DivisorClass(args.a, args.b, args.e)
     try:
         cert = surfaces.find_stable_split(divisor)
         if cert is None:

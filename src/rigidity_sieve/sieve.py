@@ -120,14 +120,6 @@ class Verdict:
     def survivors(witnesses) -> "Verdict":
         return Verdict(SURVIVORS, witnesses=tuple(witnesses))
 
-    @staticmethod
-    def excluded(*reasons: str) -> "Verdict":
-        return Verdict(EXCLUDED, reasons=tuple(reasons))
-
-    @staticmethod
-    def out_of_scope(reason: str) -> "Verdict":
-        return Verdict(OUT_OF_SCOPE, reasons=(reason,))
-
     def to_dict(self) -> dict:
         return {
             "outcome": self.outcome,
@@ -201,15 +193,15 @@ def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     return True
 
 
-def _collect_witnesses(d: int, g: int, r: int, apply_genus_caps: bool = True) -> list[SieveWitness]:
+def _collect_witnesses(d: int, g: int, r: int) -> list[SieveWitness]:
     """All (alpha, case) configurations passing slack, alpha caps and
-    (optionally) genus caps; sorted by (alpha, case)."""
+    genus caps; sorted by (alpha, case)."""
     found: list[SieveWitness] = []
     cases = (SieveCase.CASE1, SieveCase.CASE2) if d < g else (SieveCase.CASE3, SieveCase.CASE4)
     for case in cases:
         lo, hi = case_alpha_range(case, d, g, r)
         for alpha in range(lo, hi + 1):
-            if apply_genus_caps and not genus_caps_ok(d, g, alpha):
+            if not genus_caps_ok(d, g, alpha):
                 continue
             found.append(
                 SieveWitness(
@@ -316,8 +308,10 @@ def derived_satisfied(which: Ineq, value: int) -> bool:
 
 # The hypothesis range of the r >= 4 theorem: r -> an OR of ANDs of
 # clauses (p, q, s), each meaning s*d > p*g + q.  Every p is positive,
-# so every clause is down-closed in g.  Rows for r >= 11 come from
-# _range_rows.
+# so a clause holds exactly for g up to its limit (s*d - q - 1) // p,
+# and the in-range g of one degree run from 1 to the largest AND limit.
+# Rows for r >= 11 come from _range_rows; range_genera adds the r = 5
+# window and the r = 9 exception.
 #
 # The paper's r = 6 range has a fourth term, 2d > g + 10 and
 # 5d > 3g - 1, which adds nothing over the integers: 5d > 3g - 1 means
@@ -334,6 +328,9 @@ _RANGE_ROWS: dict[int, tuple] = {
     10: (((21, -4, 22),), ((17, 12, 18),)),
 }
 
+# The clause the r = 5 range adds on the degree window 101..113.
+_R5_WINDOW = (1, 22, 3)
+
 
 def _range_rows(r: int) -> tuple:
     """The range row of r; for r >= 11 the single clause
@@ -343,53 +340,58 @@ def _range_rows(r: int) -> tuple:
     return _RANGE_ROWS.get(r) or (((2 * (r - 5), 14 - r, r + 1),),)
 
 
-def range_basic(d: int, g: int, r: int) -> bool:
-    """Whether (d, g) meets the range row of r: some AND of clauses
-    s*d > p*g + q holds, compared exactly by cross-multiplication."""
-    if g < 1:
-        raise ValueError(f"need g >= 1, got {g}")
-    # The table is read directly for r <= 10: verify all makes over a
-    # million calls, and _range_rows costs one more call each.
-    for clauses in _RANGE_ROWS.get(r) or _range_rows(r):
-        for p, q, s in clauses:
-            if s * d <= p * g + q:
-                break
-        else:
-            return True
-    return False
-
-
-def range_r5_window(d: int, g: int) -> bool:
-    """Whether (d, g) meets the clause the r = 5 range adds for 101 <= d <= 113."""
-    return 3 * d > g + 22
-
-
-def range_thm41(d: int, g: int, r: int, *, honor_exception: bool = True) -> bool:
-    """Whether (d, g) lies in the hypothesis range of the r >= 4 theorem:
-    range_basic, cut by range_r5_window for r = 5 and 101 <= d <= 113;
-    r = 9 excepts the single point (30, 34) unless honor_exception is
-    disabled.
-    """
-    if not range_basic(d, g, r):
-        return False
-    if r == 5 and 101 <= d <= 113:
-        return range_r5_window(d, g)
-    if r == 9 and honor_exception:
-        return (d, g) != (30, 34)
-    return True
+def _clause_limit(d: int, clause: tuple) -> int:
+    """The largest g with s*d > p*g + q for the clause (p, q, s)."""
+    p, q, s = clause
+    return (s * d - q - 1) // p
 
 
 def range_g_limit(d: int, r: int) -> int:
-    """The largest g >= 1 with range_basic(d, g, r), or 0 if none.
-
-    Each clause holds exactly for g <= (s*d - q - 1) // p, so an AND
-    holds up to the least of its clause limits.  range_thm41 can only
-    remove points from range_basic, so callers still filter by it.
-    """
+    """The largest g >= 1 meeting the range row of r, or 0 if none: the
+    greatest over its ANDs of the least clause limit."""
     limit = 0
     for clauses in _range_rows(r):
-        limit = max(limit, min((s * d - q - 1) // p for p, q, s in clauses))
+        limit = max(limit, min(_clause_limit(d, clause) for clause in clauses))
     return limit
+
+
+def r5_window_limit(d: int) -> int:
+    """The largest g meeting the clause the r = 5 range adds on the
+    degree window 101..113."""
+    return _clause_limit(d, _R5_WINDOW)
+
+
+def range_genera(d: int, r: int, *, honor_exception: bool = True) -> range | tuple:
+    """The g >= 1 with (d, g) in the hypothesis range of the r >= 4
+    theorem, ascending: 1..range_g_limit, capped by r5_window_limit for
+    r = 5 on the degree window 101..113; r = 9 excepts a single point
+    unless honor_exception is disabled.
+    """
+    limit = range_g_limit(d, r)
+    if r == 5 and 101 <= d <= 113:
+        limit = min(limit, r5_window_limit(d))
+    genera = range(1, limit + 1)
+    if r == 9 and honor_exception:
+        except_d, except_g = (30, 34)
+        if d == except_d:
+            return tuple(g for g in genera if g != except_g)
+    return genera
+
+
+def range_thm41(d: int, g: int, r: int, *, honor_exception: bool = True) -> bool:
+    """Whether (d, g) lies in the hypothesis range of the r >= 4 theorem,
+    i.e. whether g is among range_genera(d, r)."""
+    if g < 1:
+        raise ValueError(f"need g >= 1, got {g}")
+    return g in range_genera(d, r, honor_exception=honor_exception)
+
+
+def r3_genera(d: int) -> range:
+    """The g of the r = 3 reduced grid at degree d, ascending: g >= 5
+    and g >= d, up to pi(d, 3); empty for d < 3."""
+    if d < 3:
+        return range(0)
+    return range(max(d, 5), bounds.max_genus_pi(d, 3) + 1)
 
 
 def r3_sieve(d: int, g: int) -> Verdict:

@@ -142,21 +142,18 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
         for d in range(1, d_max + 1):
             for g in range(2, d + 1):
                 report.checked += 1
-                verdict = sieve.scan(d, g, r)
-                if not verdict.is_survivor:
-                    continue
-                for w in verdict.witnesses:
-                    if w.case in (SieveCase.CASE3, SieveCase.CASE4):
-                        report.violations.append(
-                            {
-                                "r": r,
-                                "d": d,
-                                "g": g,
-                                "alpha": w.alpha,
-                                "case": w.case.value,
-                                "slack": w.slack,
-                            }
-                        )
+                # d >= g, so every witness is a case-3 or case-4 one.
+                for w in sieve.scan(d, g, r).witnesses:
+                    report.violations.append(
+                        {
+                            "r": r,
+                            "d": d,
+                            "g": g,
+                            "alpha": w.alpha,
+                            "case": w.case.value,
+                            "slack": w.slack,
+                        }
+                    )
     return report
 
 
@@ -165,9 +162,7 @@ def _thm41_chunk(args: tuple) -> tuple:
     checked = 0
     violations = []
     for d in range(d_lo, d_hi + 1):
-        for g in range(1, sieve.range_g_limit(d, r) + 1):
-            if not sieve.range_thm41(d, g, r, honor_exception=honor_exception):
-                continue
+        for g in sieve.range_genera(d, r, honor_exception=honor_exception):
             checked += 1
             verdict = sieve.scan(d, g, r)
             if verdict.is_survivor:
@@ -386,9 +381,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
                     if not consequence(alpha, m, eps, mu, i, j):
                         cross.append({"ineq": which.value, "claim": claim, "d": d, "alpha": alpha})
         report.audit["cross_encoding_violations"] = len(cross)
-        primary_keys = {
-            (v["ineq"], v["d"], v["alpha"]) for v in tuple_violations if v["m"] <= m_max
-        }
+        primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
         if primary_keys != cross_keys:
             report.violations.append(
@@ -426,6 +419,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     }
     survivors = 0
     for d in range(1, d_max + 1):
+        in_range = sieve.range_genera(d, r)
         for g in range(2, 2 * d + 1):
             if d > 2 * g - 2:
                 continue
@@ -473,16 +467,17 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                         )
             if is_survivor:
                 survivors += 1
-                if sieve.range_thm41(d, g, r):
+                if g in in_range:
                     report.violations.append({"part": "c", "d": d, "g": g})
     report.audit["survivors"] = survivors
     return report
 
 
 def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
-    """Enumerate sieve survivors at r = 5 inside the degree window that
-    pass sieve.range_basic, and confirm each fails the window's extra
-    clause sieve.range_r5_window (without which it would slip in-range).
+    """Enumerate sieve survivors at r = 5 inside the degree window with
+    g <= sieve.range_g_limit (the range without the window's extra
+    clause), and confirm each lies above sieve.r5_window_limit, the
+    limit of that clause (without which it would slip in-range).
 
     Calling with a window other than the canonical 101..113 runs in
     diagnostic mode: survivors are reported for inspection only and are
@@ -497,12 +492,11 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     )
     found = []
     for d in range(d_lo, d_hi + 1):
-        for g in range(2, 5 * d // 2 + 1):
-            if not sieve.range_basic(d, g, 5):
-                continue
+        window_limit = sieve.r5_window_limit(d)
+        for g in range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1):
             report.checked += 1
             if sieve.scan(d, g, 5).is_survivor:
-                excluded_by_window = not sieve.range_r5_window(d, g)
+                excluded_by_window = g > window_limit
                 found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
                 if not diagnostic and not excluded_by_window:
                     report.violations.append({"d": d, "g": g})
@@ -541,7 +535,7 @@ def verify_thm_r3(d_max: int) -> VerificationReport:
     report = VerificationReport("r3", {"d_max": d_max, "g": "max(d,5)..pi(d,3)"})
     survivors = []
     for d in range(3, d_max + 1):
-        for g in range(max(d, 5), bounds.max_genus_pi(d, 3) + 1):
+        for g in sieve.r3_genera(d):
             report.checked += 1
             if sieve.r3_sieve(d, g).is_survivor:
                 survivors.append((d, g))

@@ -150,6 +150,39 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert rows and all(row["g"] <= 3 for row in rows)
 
+    def test_g_max_extends_past_2d(self, capsys):
+        _, out, _ = run(capsys, "sweep", "--r", "4", "--d-max", "6", "--g-max", "20", "--format", "json")
+        rows = json.loads(out)["rows"]
+        for d in range(1, 7):
+            assert [row["g"] for row in rows if row["d"] == d] == list(range(1, 21))
+
+    def test_in_range_only_g_max_truncates(self, capsys):
+        argv = ("sweep", "--r", "4", "--d-max", "40", "--in-range-only", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        full = json.loads(out)["rows"]
+        _, out, _ = run(capsys, *argv, "--g-max", "10")
+        cut = json.loads(out)["rows"]
+        assert cut == [row for row in full if row["g"] <= 10]
+        assert len(cut) < len(full)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--d-max", "7"),
+            ("--d-max", "100", "--g-max", "7"),
+            ("--d-max", str(2**63 - 1), "--g-max", "7"),
+        ],
+    )
+    def test_empty_r3_grid_exits_2(self, capsys, bounds):
+        code, out, err = run(capsys, "sweep", "--r", "3", *bounds)
+        assert code == 2
+        assert out == "" and "error:" in err
+
+    def test_r_below_3_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--r", "2", "--d-max", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_negative_d_max_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--r", "4", "--d-max", "-5"])

@@ -1,7 +1,11 @@
 """Tests for the exclusion sieve, its derived inequalities, the
 hypothesis-range predicate, and the 3-space chain and classification."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidity_sieve import bounds, sieve
 from rigidity_sieve.sieve import Ineq, SieveCase
@@ -45,6 +49,32 @@ def naive_r3_witnesses(d, g):
 
 
 # ------------------------------------------------------------ building blocks
+
+
+def paper_range(d, g, r, honor_exception=True):
+    """The hypothesis range as the paper states it, clause by clause as
+    d > (p*g + q)/s, for r in 4, 7..10 and the general r >= 11 form."""
+
+    def gt(p, q, s):
+        return d > Fraction(p * g + q, s)
+
+    if r == 4:
+        return gt(17, 72, 64) or gt(4, 15, 15) or (gt(1, 18, 4) and gt(17, 44, 64))
+    if r == 7:
+        return gt(19, 24, 27) or (gt(4, 39, 7) and gt(76, 71, 108))
+    if r == 8:
+        return gt(4, 1, 5) or gt(5, -4, 6)
+    if r == 9:
+        if honor_exception and (d, g) == (30, 34):
+            return False
+        return gt(9, -5, 10) or gt(29, 3, 33)
+    if r == 10:
+        return gt(21, -4, 22) or gt(17, 12, 18)
+    assert r >= 11
+    return gt(2 * (r - 5), 14 - r, r + 1)
+
+
+PAPER_RANGE_RS = (4, 7, 8, 9, 10, 12, 20)
 
 
 class TestCaseMachinery:
@@ -266,6 +296,35 @@ class TestHypothesisRange:
                 )
                 assert sieve.range_thm41(d, g, 6) == four_terms
 
+
+    @pytest.mark.parametrize("r", PAPER_RANGE_RS)
+    def test_matches_paper_clauses(self, r):
+        for d in range(1, 160):
+            genera = range(1, sieve.range_g_limit(d, r) + 40)
+            for honor in (True, False):
+                flags = [sieve.range_thm41(d, g, r, honor_exception=honor) for g in genera]
+                assert flags == [paper_range(d, g, r, honor) for g in genera], (d, honor)
+                assert list(sieve.range_genera(d, r, honor_exception=honor)) == [
+                    g for g, flag in zip(genera, flags) if flag
+                ], (d, honor)
+
+    @given(
+        d=st.integers(1, 2**63 - 1),
+        g=st.integers(1, 2**63 - 1),
+        r=st.sampled_from(PAPER_RANGE_RS),
+        honor=st.booleans(),
+    )
+    def test_matches_paper_clauses_on_large_inputs(self, d, g, r, honor):
+        assert sieve.range_thm41(d, g, r, honor_exception=honor) == paper_range(d, g, r, honor)
+        limit = sieve.range_g_limit(d, r)
+        assert limit == 0 or paper_range(d, limit, r, False)
+        assert not paper_range(d, limit + 1, r, False)
+
+    def test_r3_genera_is_the_reduced_grid(self):
+        for d in range(-2, 120):
+            pi = bounds.max_genus_pi(d, 3) if d >= 3 else 0
+            naive = [g for g in range(1, pi + 1) if g >= 5 and g >= d]
+            assert list(sieve.r3_genera(d)) == naive, d
 
 class TestR3Sieve:
     def test_matches_naive_oracle(self):
