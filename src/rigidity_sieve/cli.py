@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
+import os
 import sys
 import time
 
@@ -63,7 +66,9 @@ def _dump_json(payload: dict) -> str:
 
 def build_query_report(d: int, g: int, r: int) -> dict:
     """The full invariant panel for one (d, g, r); keys are present
-    exactly when the corresponding quantity is defined."""
+    exactly when the corresponding quantity is defined.  The verdict is
+    a sieve.Verdict; for r >= 4 its witnesses are a sieve.WitnessStream,
+    which the writers below consume one witness at a time."""
     curve = CurveClass(d, g, r)
     invariants = {
         "rho": bounds.brill_noether(curve),
@@ -84,55 +89,76 @@ def build_query_report(d: int, g: int, r: int) -> dict:
     }
     if r == 3:
         if g >= 5 and d <= g:
-            report["verdict"] = sieve.r3_sieve(d, g).to_dict()
+            report["verdict"] = sieve.r3_sieve(d, g)
         outcome = sieve.r3_classify(d, g)
         r3_outcome = {"kind": outcome.kind, "rendered": outcome.render()}
         if outcome.image_dim is not None:
             r3_outcome["image_dim"] = outcome.image_dim
         report["r3_outcome"] = r3_outcome
     else:
-        report["verdict"] = sieve.scan(d, g, r).to_dict()
+        report["verdict"] = sieve.scan_streamed(d, g, r)
         if g >= 1:
             report["range_thm41"] = sieve.range_thm41(d, g, r)
     return report
 
 
-def _render_query_text(report: dict) -> str:
-    lines = []
+def _write_query_text(report: dict, write) -> None:
     inp = report["input"]
-    lines.append(f"input: d={inp['d']} g={inp['g']} r={inp['r']}")
+    write(f"input: d={inp['d']} g={inp['g']} r={inp['r']}\n")
     for key, value in report["invariants"].items():
-        lines.append(f"{key}: {value}")
+        write(f"{key}: {value}\n")
     if "range_thm41" in report:
-        lines.append(
-            "range_thm41: " + ("in-range" if report["range_thm41"] else "out-of-range")
-        )
+        write("range_thm41: " + ("in-range" if report["range_thm41"] else "out-of-range") + "\n")
     if "verdict" in report:
         verdict = report["verdict"]
-        lines.append(f"verdict: {verdict['outcome']}")
-        for reason in verdict["reasons"]:
-            lines.append(f"  reason: {reason}")
-        for w in verdict["witnesses"]:
-            if "case" in w:
-                lines.append(
-                    f"  witness: alpha={w['alpha']} case={w['case']}"
-                    f" slack={w['slack']} i={w['i']} j={w['j']}"
+        write(f"verdict: {verdict.outcome}\n")
+        for reason in verdict.reasons:
+            write(f"  reason: {reason}\n")
+        for w in verdict.witnesses:
+            if isinstance(w, sieve.SieveWitness):
+                write(
+                    f"  witness: alpha={w.alpha} case={w.case.value}"
+                    f" slack={w.slack} i={w.i} j={w.j}\n"
                 )
             else:
-                lines.append(
-                    f"  witness: alpha={w['alpha']} branch={w['branch']} slack={w['slack']}"
-                )
+                write(f"  witness: alpha={w.alpha} branch={w.branch} slack={w.slack}\n")
     if "r3_outcome" in report:
-        lines.append(f"classification: {report['r3_outcome']['rendered']}")
-    return "\n".join(lines) + "\n"
+        write(f"classification: {report['r3_outcome']['rendered']}\n")
+
+
+# Stands in for the witness list while the rest of a query report is
+# dumped; the list is then written where it stood, a batch at a time.
+_WITNESS_SLOT = "\0witnesses"
+_WITNESS_BATCH = 512
+
+
+def _write_query_json(report: dict, write) -> None:
+    """Write json.dumps(report, indent=2) with the verdict as its
+    to_dict(), without ever holding the witness list."""
+    if "verdict" not in report:
+        write(_dump_json(report))
+        return
+    verdict = report["verdict"]
+    shape = {"outcome": verdict.outcome, "witnesses": _WITNESS_SLOT, "reasons": list(verdict.reasons)}
+    before, after = _dump_json({**report, "verdict": shape}).split(json.dumps(_WITNESS_SLOT))
+    write(before)
+    witnesses = iter(verdict.witnesses)
+    separator = "["
+    while batch := [w.to_dict() for w in itertools.islice(witnesses, _WITNESS_BATCH)]:
+        # The batch is dumped as a list of its own, two levels above
+        # where the witness list sits in the report: drop its brackets
+        # and indent its lines by 4 more.
+        write(separator + json.dumps(batch, indent=2)[1:-2].replace("\n", "\n    "))
+        separator = ","
+    write(("[]" if separator == "[" else "\n    ]") + after)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     report = build_query_report(args.d, args.g, args.r)
     if args.format == "json":
-        sys.stdout.write(_dump_json(report))
+        _write_query_json(report, sys.stdout.write)
     else:
-        sys.stdout.write(_render_query_text(report))
+        _write_query_text(report, sys.stdout.write)
     return 0
 
 
@@ -262,23 +288,34 @@ def _run_suite(args: argparse.Namespace) -> list:
     def d_max(suite: str) -> int:
         return _D_MAX_DEFAULT[suite] if args.d_max is None else args.d_max
 
-    runners = {
-        "spots": lambda r: verify.verify_spot_values(),
-        "r3": lambda r: verify.verify_thm_r3(200 if in_all else d_max("r3")),
-        "thm41": lambda r: verify.verify_thm41(
-            r, d_max("thm41"), honor_exception=in_all or not args.no_exception
+    thm41 = functools.partial(verify.verify_thm41, honor_exception=in_all or not args.no_exception)
+    # suite -> r -> (the check of the suite's bounds, the suite, the bounds).
+    suites = {
+        "spots": lambda r: (None, verify.verify_spot_values, ()),
+        "r3": lambda r: (verify.check_r3_args, verify.verify_thm_r3, (200 if in_all else d_max("r3"),)),
+        "thm41": lambda r: (verify.check_thm41_args, thm41, (r, d_max("thm41"))),
+        "derived": lambda r: (verify.check_derived_args, verify.verify_derived_claims, (r, args.alpha_max)),
+        "case34": lambda r: (
+            verify.check_case34_args,
+            verify.verify_case34_never,
+            (args.r_lo, args.r_hi, d_max("case34")),
         ),
-        "derived": lambda r: verify.verify_derived_claims(r, args.alpha_max),
-        "case34": lambda r: verify.verify_case34_never(args.r_lo, args.r_hi, d_max("case34")),
-        "r11": lambda r: verify.verify_r_ge_11(r, d_max("r11")),
-        "r5window": lambda r: verify.verify_r5_window(args.d_lo, args.d_hi),
-        "splits": lambda r: verify.verify_splits(args.a_max, args.b_max, args.e_max),
+        "r11": lambda r: (verify.check_r11_args, verify.verify_r_ge_11, (r, d_max("r11"))),
+        "r5window": lambda r: (verify.check_r5window_args, verify.verify_r5_window, (args.d_lo, args.d_hi)),
+        "splits": lambda r: (verify.check_splits_args, verify.verify_splits, (args.a_max, args.b_max, args.e_max)),
     }
     if in_all:
-        return [runners[suite](r) for suite in runners for r in _ALL_R.get(suite, (None,))]
-    if args.suite in _ALL_R and args.r is None:
+        calls = [suites[suite](r) for suite in suites for r in _ALL_R.get(suite, (None,))]
+    elif args.suite in _ALL_R and args.r is None:
         raise ValueError(f"verify {args.suite} requires --r")
-    return [runners[args.suite](args.r)]
+    else:
+        calls = [suites[args.suite](args.r)]
+    # Every suite's bounds are checked before any suite runs, so that
+    # `verify all` refuses a bad bound at once.
+    for check, _, params in calls:
+        if check is not None:
+            check(*params)
+    return [run(*params) for _, run, params in calls]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -399,10 +436,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone (`| head`): the output stops
+        # there, which is no failure.  Point stdout at the null device,
+        # so that flushing what is still buffered at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 if __name__ == "__main__":

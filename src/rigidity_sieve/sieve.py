@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import bounds
 from .bounds import CastelnuovoProfile
@@ -100,7 +100,8 @@ OUT_OF_SCOPE = "out-of-scope"
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a scan: survivors with witnesses, an exclusion with
-    machine-checkable reasons, or out-of-scope."""
+    machine-checkable reasons, or out-of-scope.  The witnesses are a
+    tuple, or a WitnessStream in a verdict from scan_streamed."""
 
     outcome: str
     witnesses: tuple = ()
@@ -193,38 +194,43 @@ def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     return True
 
 
-def _collect_witnesses(d: int, g: int, r: int) -> list[SieveWitness]:
-    """All (alpha, case) configurations passing slack, alpha caps and
-    genus caps; sorted by (alpha, case)."""
-    found: list[SieveWitness] = []
-    cases = (SieveCase.CASE1, SieveCase.CASE2) if d < g else (SieveCase.CASE3, SieveCase.CASE4)
-    for case in cases:
-        lo, hi = case_alpha_range(case, d, g, r)
-        for alpha in range(lo, hi + 1):
-            if not genus_caps_ok(d, g, alpha):
-                continue
-            found.append(
-                SieveWitness(
-                    alpha=alpha,
-                    case=case,
-                    i=d + 1 - 3 * alpha,
-                    j=d - 3 * alpha,
-                    profile=bounds.castelnuovo_profile(d, alpha),
-                    slack=case_slack(case, d, g, r, alpha),
-                )
-            )
-    found.sort(key=lambda w: (w.alpha, w.case.index))
-    return found
+def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
+    """Every (alpha, case) configuration of (d, g, r) passing slack,
+    alpha caps and genus caps, in (alpha, case) order, built only as the
+    iterator reaches it.
 
-
-def scan(d: int, g: int, r: int) -> Verdict:
-    """Full sieve verdict for (d, g, r) with r >= 4.
-
-    Out-of-scope for genus 0; non-special exclusion for g = 1 or
-    d > 2g - 2; otherwise enumerates alpha from r up to the embedding
-    cap in the two applicable cases and returns all witnesses, or an
-    exclusion naming why none exist.
+    One ascending walk over the union of the two applicable case
+    windows: the genus caps and the profile do not depend on the case,
+    so each is evaluated once per alpha.  The union has no gap, since
+    the first case's window ends at or one above the second's.  The gates
+    of scan are not applied here.
     """
+    if d < g:
+        first, second = SieveCase.CASE1, SieveCase.CASE2
+    else:
+        first, second = SieveCase.CASE3, SieveCase.CASE4
+    lo1, hi1 = case_alpha_range(first, d, g, r)
+    lo2, hi2 = case_alpha_range(second, d, g, r)
+    if lo1 > hi1:
+        lo, hi = lo2, hi2
+    elif lo2 > hi2:
+        lo, hi = lo1, hi1
+    else:
+        lo, hi = min(lo1, lo2), max(hi1, hi2)
+    for alpha in range(lo, hi + 1):
+        if not genus_caps_ok(d, g, alpha):
+            continue
+        profile = bounds.castelnuovo_profile(d, alpha)
+        i = d + 1 - 3 * alpha
+        if lo1 <= alpha <= hi1:
+            yield SieveWitness(alpha, first, i, i - 1, profile, case_slack(first, d, g, r, alpha))
+        if lo2 <= alpha <= hi2:
+            yield SieveWitness(alpha, second, i, i - 1, profile, case_slack(second, d, g, r, alpha))
+
+
+def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
+    """The verdict of scan when it is settled before any alpha is walked
+    (out of scope, non-special or no alpha), else None."""
     if r < 4:
         raise ValueError(f"scan requires r >= 4 (got {r}); use r3_sieve for r = 3")
     if d < 1:
@@ -235,10 +241,49 @@ def scan(d: int, g: int, r: int) -> Verdict:
         return _EXCLUDED_NON_SPECIAL
     if bounds.embed_dim_cap(d, g) < r:
         return _EXCLUDED_NO_ALPHA
-    found = _collect_witnesses(d, g, r)
-    if found:
-        return Verdict.survivors(found)
-    return _EXCLUDED_INFEASIBLE
+    return None
+
+
+def scan(d: int, g: int, r: int) -> Verdict:
+    """Full sieve verdict for (d, g, r) with r >= 4.
+
+    Out-of-scope for genus 0; non-special exclusion for g = 1 or
+    d > 2g - 2; otherwise enumerates alpha from r up to the embedding
+    cap in the two applicable cases and returns all witnesses, or an
+    exclusion naming why none exist.
+    """
+    verdict = _gate(d, g, r)
+    if verdict is None:
+        found = tuple(iter_witnesses(d, g, r))
+        verdict = Verdict(SURVIVORS, found) if found else _EXCLUDED_INFEASIBLE
+    return verdict
+
+
+@dataclass(frozen=True)
+class WitnessStream:
+    """The witnesses of scan(d, g, r) for output that writes them one at
+    a time: each iteration runs iter_witnesses afresh, and none is kept."""
+
+    d: int
+    g: int
+    r: int
+
+    def __iter__(self) -> Iterator[SieveWitness]:
+        return iter_witnesses(self.d, self.g, self.r)
+
+
+def scan_streamed(d: int, g: int, r: int) -> Verdict:
+    """scan(d, g, r) with a survivor verdict's witnesses left as a
+    WitnessStream, so that memory does not grow with their number; only
+    the first witness is enumerated here, to settle the outcome."""
+    verdict = _gate(d, g, r)
+    if verdict is None:
+        witnesses = WitnessStream(d, g, r)
+        if next(iter(witnesses), None) is None:
+            verdict = _EXCLUDED_INFEASIBLE
+        else:
+            verdict = Verdict(SURVIVORS, witnesses)
+    return verdict
 
 
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:

@@ -124,6 +124,14 @@ def verify_spot_values(grid_max: int = 50) -> VerificationReport:
     return report
 
 
+def check_case34_args(r_lo: int, r_hi: int, d_max: int) -> None:
+    """Raise ValueError unless verify_case34_never accepts these bounds."""
+    if r_lo < 4 or r_lo > r_hi:
+        raise ValueError(f"need 4 <= r_lo <= r_hi, got ({r_lo}, {r_hi})")
+    if d_max < 1:
+        raise ValueError(f"need d_max >= 1, got {d_max}")
+
+
 def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     """Confirm no witness in the d >= g cases survives for r in
     [r_lo, r_hi] over d <= d_max, g in [2, d].
@@ -131,10 +139,7 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     The claim is specific to 4 <= r <= 10; larger r may be passed to
     demonstrate that the claim genuinely fails there.
     """
-    if r_lo < 4 or r_lo > r_hi:
-        raise ValueError(f"need 4 <= r_lo <= r_hi, got ({r_lo}, {r_hi})")
-    if d_max < 1:
-        raise ValueError(f"need d_max >= 1, got {d_max}")
+    check_case34_args(r_lo, r_hi, d_max)
     report = VerificationReport(
         "case34", {"r_lo": r_lo, "r_hi": r_hi, "d_max": d_max, "g": "2..d"}
     )
@@ -176,6 +181,14 @@ def _thm41_chunk(args: tuple) -> tuple:
     return checked, violations
 
 
+def check_thm41_args(r: int, d_max: int) -> None:
+    """Raise ValueError unless verify_thm41 accepts these bounds."""
+    if r < 4:
+        raise ValueError(f"need r >= 4, got {r}")
+    if d_max < r + 2:
+        raise ValueError(f"need d_max >= r + 2, got {d_max}")
+
+
 def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> VerificationReport:
     """Sweep every in-range (d <= d_max, g >= 1) and confirm the sieve
     excludes it; violations are surviving pairs with their witnesses.
@@ -183,10 +196,7 @@ def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> Verificati
     Set honor_exception=False to drop the single excepted point of the
     r = 9 range and observe it surface as the lone violation.
     """
-    if r < 4:
-        raise ValueError(f"need r >= 4, got {r}")
-    if d_max < r + 2:
-        raise ValueError(f"need d_max >= r + 2, got {d_max}")
+    check_thm41_args(r, d_max)
     report = VerificationReport(
         "thm41",
         {
@@ -278,6 +288,14 @@ def _consistent_tuples(which: Ineq, alpha: int, m_max: int):
                 yield m, eps, mu, m * (alpha + 1) + eps + 1
 
 
+def check_derived_args(r: int, alpha_max: int) -> None:
+    """Raise ValueError unless verify_derived_claims accepts these bounds."""
+    if not 4 <= r <= 10:
+        raise ValueError(f"need 4 <= r <= 10, got {r}")
+    if alpha_max < 8:
+        raise ValueError(f"need alpha_max >= 8, got {alpha_max}")
+
+
 def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> VerificationReport:
     """Check the per-r consequences of the four derived inequalities.
 
@@ -295,10 +313,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
     are re-checked through a direct (d, alpha) enumeration and the two
     encodings are cross-asserted.
     """
-    if not 4 <= r <= 10:
-        raise ValueError(f"need 4 <= r <= 10, got {r}")
-    if alpha_max < 8:
-        raise ValueError(f"need alpha_max >= 8, got {alpha_max}")
+    check_derived_args(r, alpha_max)
     alpha_lo = max(8, r)
     report = VerificationReport(
         "derived",
@@ -394,6 +409,14 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
     return report
 
 
+def check_r11_args(r: int, d_max: int) -> None:
+    """Raise ValueError unless verify_r_ge_11 accepts these bounds."""
+    if r < 11:
+        raise ValueError(f"need r >= 11, got {r}")
+    if d_max < 1:
+        raise ValueError(f"need d_max >= 1, got {d_max}")
+
+
 def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """Check the three steps of the high-r exclusion over d <= d_max,
     g in [2, 2d]:
@@ -406,10 +429,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         degree bound in terms of g;
     (c) no survivor lies in the theorem's hypothesis range.
     """
-    if r < 11:
-        raise ValueError(f"need r >= 11, got {r}")
-    if d_max < 1:
-        raise ValueError(f"need d_max >= 1, got {d_max}")
+    check_r11_args(r, d_max)
     report = VerificationReport("r11", {"r": r, "d_max": d_max, "g": "2..2d"})
     case_bounds = {
         SieveCase.CASE1: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 8,
@@ -473,6 +493,12 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     return report
 
 
+def check_r5window_args(d_lo: int, d_hi: int) -> None:
+    """Raise ValueError unless verify_r5_window accepts these bounds."""
+    if not 1 <= d_lo <= d_hi:
+        raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
+
+
 def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     """Enumerate sieve survivors at r = 5 inside the degree window with
     g <= sieve.range_g_limit (the range without the window's extra
@@ -483,8 +509,7 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     diagnostic mode: survivors are reported for inspection only and are
     not violations.
     """
-    if not 1 <= d_lo <= d_hi:
-        raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
+    check_r5window_args(d_lo, d_hi)
     diagnostic = (d_lo, d_hi) != (101, 113)
     report = VerificationReport(
         "r5window",
@@ -521,6 +546,12 @@ _R3_EXPECTED = [
 _R3_ALLOWED = {(8, 8), (8, 9), (9, 9), (9, 10), (9, 11), (9, 12)}
 
 
+def check_r3_args(d_max: int) -> None:
+    """Raise ValueError unless verify_thm_r3 accepts this bound."""
+    if d_max < 10:
+        raise ValueError(f"need d_max >= 10, got {d_max}")
+
+
 def verify_thm_r3(d_max: int) -> VerificationReport:
     """Reproduce the 3-space case analysis over d <= d_max:
 
@@ -530,8 +561,7 @@ def verify_thm_r3(d_max: int) -> VerificationReport:
     (d) the dimension count at (8, 7) is tight: a moduli image below 17
         would violate 4d <= 15 + dim W + image dimension.
     """
-    if d_max < 10:
-        raise ValueError(f"need d_max >= 10, got {d_max}")
+    check_r3_args(d_max)
     report = VerificationReport("r3", {"d_max": d_max, "g": "max(d,5)..pi(d,3)"})
     survivors = []
     for d in range(3, d_max + 1):
@@ -571,6 +601,12 @@ _CANONICAL_SPLITS = [
 ]
 
 
+def check_splits_args(a_max: int, b_max: int, e_max: int) -> None:
+    """Raise ValueError unless verify_splits accepts these bounds."""
+    if a_max < 0 or b_max < 0 or e_max < 0:
+        raise ValueError("grid bounds must be nonnegative")
+
+
 def verify_splits(a_max: int = 12, b_max: int = 60, e_max: int = 4) -> VerificationReport:
     """Run the stable-split construction over the divisor grid and
     re-check every certificate: the parts sum to the input, both parts
@@ -578,8 +614,7 @@ def verify_splits(a_max: int = 12, b_max: int = 60, e_max: int = 4) -> Verificat
     recomputed, is at least 3, and genus additivity holds.  The three
     canonical splits are pinned exactly.
     """
-    if a_max < 0 or b_max < 0 or e_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
+    check_splits_args(a_max, b_max, e_max)
     report = VerificationReport(
         "splits", {"a_max": a_max, "b_max": b_max, "e_max": e_max}
     )

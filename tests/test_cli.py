@@ -1,11 +1,20 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, byte stability of JSON payloads, and the CSV row contract."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from rigidity_sieve import cli, verify
+from rigidity_sieve import bounds, cli, sieve, verify
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -14,7 +23,129 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def materialised_query_report(d, g, r):
+    """The query report with its verdict held whole, as to_dict() gives it."""
+    report = cli.build_query_report(d, g, r)
+    if "verdict" in report:
+        verdict = sieve.r3_sieve(d, g) if r == 3 else sieve.scan(d, g, r)
+        report["verdict"] = verdict.to_dict()
+    return report
+
+
+def render_query_text(report):
+    """Reference text rendering of a materialised query report."""
+    lines = []
+    inp = report["input"]
+    lines.append(f"input: d={inp['d']} g={inp['g']} r={inp['r']}")
+    for key, value in report["invariants"].items():
+        lines.append(f"{key}: {value}")
+    if "range_thm41" in report:
+        lines.append("range_thm41: " + ("in-range" if report["range_thm41"] else "out-of-range"))
+    if "verdict" in report:
+        verdict = report["verdict"]
+        lines.append(f"verdict: {verdict['outcome']}")
+        for reason in verdict["reasons"]:
+            lines.append(f"  reason: {reason}")
+        for w in verdict["witnesses"]:
+            if "case" in w:
+                lines.append(
+                    f"  witness: alpha={w['alpha']} case={w['case']}"
+                    f" slack={w['slack']} i={w['i']} j={w['j']}"
+                )
+            else:
+                lines.append(f"  witness: alpha={w['alpha']} branch={w['branch']} slack={w['slack']}")
+    if "r3_outcome" in report:
+        lines.append(f"classification: {report['r3_outcome']['rendered']}")
+    return "\n".join(lines) + "\n"
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _read_head_and_close(seconds, *argv):
+    """Run the CLI, read the first 100 bytes of its output and close the
+    pipe; returns (exit code, those bytes, stderr).  A watchdog kills the
+    process if it has not ended after `seconds`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rigidity_sieve.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    watchdog = threading.Timer(seconds, proc.kill)
+    watchdog.start()
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait()
+        stderr = proc.stderr.read()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    return code, head, stderr
+
+
 class TestQuery:
+    @pytest.mark.parametrize(
+        "d,g,r",
+        [
+            (30, 34, 9),  # survivors
+            (30, 14, 5),  # non-special
+            (10, 9, 9),  # no alpha
+            (30, 33, 9),  # all cases infeasible
+            (12, 0, 4),  # genus zero
+            (9, 12, 3),  # r = 3 with a sieve verdict
+            (7, 6, 3),  # r = 3, classification only
+            (6000, 6001, 20),  # 1,859 witnesses: the JSON list spans several batches
+        ],
+    )
+    def test_streamed_output_matches_materialised_rendering(self, capsys, d, g, r):
+        report = materialised_query_report(d, g, r)
+        argv = ("query", "--d", str(d), "--g", str(g), "--r", str(r))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == render_query_text(report)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_memory_does_not_grow_with_the_witness_list(self, monkeypatch):
+        # At D = 20000 the verdict has 11,930 witnesses.  Holding them as
+        # objects, dicts and text lines peaks at about 13.5 MiB; streamed,
+        # the peak is the bounds caches, about 3.2 MiB.
+        d = 20000
+        for fn in (bounds.castelnuovo_profile, bounds.max_genus_pi):
+            fn.cache_clear()
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["query", "--d", str(d), "--g", str(d + 1), "--r", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            for fn in (bounds.castelnuovo_profile, bounds.max_genus_pi):
+                fn.cache_clear()
+        assert code == 0
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_pipe_stops_quietly(self, fmt):
+        # The full run at D = 2,000,000 takes about 9 s (text) or 23 s
+        # (JSON); a reader that leaves after 100 bytes must end it within
+        # the 4 s the watchdog allows.
+        d = 2_000_000
+        code, head, stderr = _read_head_and_close(
+            4, "query", "--d", str(d), "--g", str(d + 1), "--r", "100", "--format", fmt
+        )
+        assert len(head) == 100
+        assert code == 0
+        assert b"Traceback" not in stderr
+
     def test_text_panel_survivor(self, capsys):
         code, out, err = run(capsys, "query", "--d", "30", "--g", "34", "--r", "9")
         assert code == 0 and err == ""
@@ -193,6 +324,12 @@ class TestSweep:
             cli.main(["sweep", "--r", "4", "--d-max", "10", "--g-max", "-3"])
         assert exc.value.code == 2
 
+    def test_closed_pipe_exits_quietly(self):
+        code, head, stderr = _read_head_and_close(60, "sweep", "--r", "9", "--d-max", "100")
+        assert len(head) == 100
+        assert code == 0
+        assert b"Traceback" not in stderr
+
     def test_pool_path_matches_serial(self, capsys, monkeypatch):
         args = ("sweep", "--r", "9", "--d-max", "130")
         monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
@@ -258,6 +395,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--d-max", "0")
         assert code == 2
         assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("d_max", ["0", "11"])
+    def test_all_checks_every_bound_before_running(self, capsys, monkeypatch, d_max):
+        # --d-max 11 suits thm41 at r = 4..9 but not at r = 10.
+        def must_not_run():
+            raise AssertionError("a suite ran before the bounds were checked")
+
+        monkeypatch.setattr(verify, "verify_spot_values", must_not_run)
+        code, out, err = run(capsys, "verify", "all", "--d-max", d_max)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_empty_r5_window_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")

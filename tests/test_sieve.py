@@ -135,6 +135,60 @@ class TestScan:
                     assert got == naive_scan_config_list(d, g, r), (d, g, r)
                     assert verdict.is_survivor == bool(got)
 
+    @given(data=st.data(), d=st.integers(1, 3000), r=st.integers(4, 30))
+    def test_matches_naive_oracle_on_random_inputs(self, data, d, r):
+        g = data.draw(st.integers(0, 2 * d + 3), label="g")
+        got = [(w.alpha, w.case, w.i, w.j, w.slack, w.profile) for w in sieve.scan(d, g, r).witnesses]
+        if g <= 1 or d > 2 * g - 2 or bounds.embed_dim_cap(d, g) < r:
+            assert got == []
+            return
+        want = [
+            (
+                alpha,
+                case,
+                d + 1 - 3 * alpha,
+                d - 3 * alpha,
+                sieve.case_slack(case, d, g, r, alpha),
+                bounds.castelnuovo_profile(d, alpha),
+            )
+            for alpha, case in naive_scan_config_list(d, g, r)
+        ]
+        assert got == want
+
+    def test_genus_caps_once_per_alpha_of_the_window_union(self, monkeypatch):
+        seen = []
+        real = sieve.genus_caps_ok
+
+        def counting(d, g, alpha):
+            seen.append(alpha)
+            return real(d, g, alpha)
+
+        monkeypatch.setattr(sieve, "genus_caps_ok", counting)
+        for r in (4, 9, 12):
+            for d in range(1, 80):
+                for g in range(2, 2 * d + 3):
+                    if d > 2 * g - 2 or bounds.embed_dim_cap(d, g) < r:
+                        continue
+                    union = set()
+                    for case in SieveCase:
+                        if case.applies(d, g):
+                            lo, hi = sieve.case_alpha_range(case, d, g, r)
+                            union.update(range(lo, hi + 1))
+                    seen.clear()
+                    sieve.scan(d, g, r)
+                    assert seen == sorted(union), (d, g, r)
+
+    def test_streamed_verdict_matches_scan(self):
+        for r in (4, 9, 20):
+            for d in range(1, 70):
+                for g in range(0, 2 * d + 3):
+                    verdict = sieve.scan(d, g, r)
+                    streamed = sieve.scan_streamed(d, g, r)
+                    assert (streamed.outcome, streamed.reasons) == (verdict.outcome, verdict.reasons)
+                    assert tuple(streamed.witnesses) == verdict.witnesses
+                    # a stream enumerates afresh on every pass
+                    assert tuple(streamed.witnesses) == verdict.witnesses
+
     def test_survivor_pin(self):
         verdict = sieve.scan(30, 34, 9)
         assert verdict.outcome == sieve.SURVIVORS
