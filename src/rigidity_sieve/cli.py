@@ -15,6 +15,7 @@ which CSV output omits entirely.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -30,13 +31,6 @@ from .surfaces import DivisorClass
 
 SCHEMA = "rigidity-sieve/1"
 MAX_INPUT = 2**63 - 1
-
-_VERDICT_LABEL = {
-    sieve.SURVIVORS: "survivor",
-    sieve.EXCLUDED: "excluded",
-    sieve.OUT_OF_SCOPE: "out-of-scope",
-}
-
 
 def bounded_int(text: str) -> int:
     """Integer argument type accepting magnitudes up to 2^63 - 1."""
@@ -165,19 +159,29 @@ def cmd_query(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_row(d: int, g: int, r: int, in_range) -> dict:
-    """One sweep row; in_range is the in-range genera of degree d, or
-    None for r = 3, where the range column is empty."""
-    verdict = sieve.r3_sieve(d, g) if r == 3 else sieve.scan(d, g, r)
+def _sweep_row(d: int, g: int, r: int, alpha_list: list, in_range) -> dict:
+    """One sweep row; alpha_list holds the alpha of each witness, and
+    in_range is the in-range genera of degree d, or None for r = 3,
+    where the range column is empty."""
     return {
         "d": d,
         "g": g,
         "r": r,
-        "verdict": _VERDICT_LABEL[verdict.outcome],
-        "witnesses": len(verdict.witnesses),
-        "alpha_list": [w.alpha for w in verdict.witnesses],
+        "verdict": "survivor" if alpha_list else "excluded",
+        "witnesses": len(alpha_list),
+        "alpha_list": alpha_list,
         "range_thm41": None if in_range is None else g in in_range,
     }
+
+
+def _alpha_lists(d: int, r: int, g_top: int) -> dict:
+    """g -> the alphas of the witnesses of scan(d, g, r) in (alpha, case)
+    order, for each g <= g_top that has one."""
+    lists = collections.defaultdict(list)
+    for alpha, _, g_lo, g_hi in sieve.genus_intervals(d, r, g_top):
+        for g in range(g_lo, g_hi + 1):
+            lists[g].append(alpha)
+    return lists
 
 
 def _sweep_chunk(args: tuple) -> list:
@@ -190,10 +194,16 @@ def _sweep_chunk(args: tuple) -> list:
         else:
             in_range = sieve.range_genera(d, r)
             genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
+            top = genera[-1] if genera else 0
+            alpha_lists = _alpha_lists(d, r, top if g_max is None else min(top, g_max))
         for g in genera:
             if g_max is not None and g > g_max:
                 break
-            rows.append(_sweep_row(d, g, r, in_range))
+            if r == 3:
+                alpha_list = [w.alpha for w in sieve.r3_sieve(d, g).witnesses]
+            else:
+                alpha_list = alpha_lists.get(g, [])
+            rows.append(_sweep_row(d, g, r, alpha_list, in_range))
     return rows
 
 

@@ -149,16 +149,20 @@ def case_slack(case: SieveCase, d: int, g: int, r: int, alpha: int) -> int:
     return (r - 3) * g - (r + 1) * (d - alpha) + 3
 
 
+# The alpha cap of each case: alpha <= (p*d - q*g + k) / 3.
+_ALPHA_CAPS = {
+    SieveCase.CASE1: (1, 0, 1),
+    SieveCase.CASE2: (1, 0, 0),
+    SieveCase.CASE3: (2, 1, 1),
+    SieveCase.CASE4: (2, 1, 0),
+}
+
+
 def alpha_cap(case: SieveCase, d: int, g: int) -> int:
     """Largest alpha allowed by the case: floor of (d+1)/3, d/3,
     (2d-g+1)/3, (2d-g)/3 for cases 1..4 respectively."""
-    if case is SieveCase.CASE1:
-        return (d + 1) // 3
-    if case is SieveCase.CASE2:
-        return d // 3
-    if case is SieveCase.CASE3:
-        return (2 * d - g + 1) // 3
-    return (2 * d - g) // 3
+    p, q, k = _ALPHA_CAPS[case]
+    return (p * d - q * g + k) // 3
 
 
 def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
@@ -180,18 +184,30 @@ def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]
     return max(r, -(-num // den)), min(bounds.embed_dim_cap(d, g), alpha_cap(case, d, g))
 
 
+def _profile_cap(d: int, alpha: int, cap: int) -> int:
+    """cap lowered by the profile's genus caps at (d, alpha): to pi1 once
+    d >= 2*alpha + 1, and for alpha >= 8 with d >= 2*alpha + 3 also to
+    pi2 and pi1 - 1."""
+    prof = bounds.castelnuovo_profile(d, alpha)
+    if d >= 2 * alpha + 1:
+        cap = min(cap, prof.pi1)
+    if alpha >= 8 and d >= 2 * alpha + 3:
+        cap = min(cap, prof.pi2, prof.pi1 - 1)
+    return cap
+
+
+def genus_cap(d: int, alpha: int) -> int:
+    """The largest genus that survives the three-step genus caps at
+    (d, alpha): pi(d, alpha) lowered by the profile's caps."""
+    return _profile_cap(d, alpha, bounds.max_genus_pi(d, alpha))
+
+
 def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     """Whether genus g survives the three-step genus caps at (d, alpha):
     g <= pi(d, alpha) always; g <= pi1 once d >= 2*alpha + 1; and for
-    alpha >= 8 with d >= 2*alpha + 3 also g <= pi2 and g < pi1."""
-    if g > bounds.max_genus_pi(d, alpha):
-        return False
-    prof = bounds.castelnuovo_profile(d, alpha)
-    if d >= 2 * alpha + 1 and g > prof.pi1:
-        return False
-    if alpha >= 8 and d >= 2 * alpha + 3 and (g > prof.pi2 or g >= prof.pi1):
-        return False
-    return True
+    alpha >= 8 with d >= 2*alpha + 3 also g <= pi2 and g < pi1.  The
+    profile is only read once g <= pi(d, alpha)."""
+    return g <= bounds.max_genus_pi(d, alpha) and g <= _profile_cap(d, alpha, g)
 
 
 def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
@@ -228,16 +244,26 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
             yield SieveWitness(alpha, second, i, i - 1, profile, case_slack(second, d, g, r, alpha))
 
 
-def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
-    """The verdict of scan when it is settled before any alpha is walked
-    (out of scope, non-special or no alpha), else None."""
+def _check_domain(d: int, r: int) -> None:
     if r < 4:
         raise ValueError(f"scan requires r >= 4 (got {r}); use r3_sieve for r = 3")
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
+
+
+def _least_special_genus(d: int) -> int:
+    """The least g with g >= 2 and d <= 2g - 2; every (d, g) with
+    1 <= g below it is non-special."""
+    return (d + 3) // 2
+
+
+def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
+    """The verdict of scan when it is settled before any alpha is walked
+    (out of scope, non-special or no alpha), else None."""
+    _check_domain(d, r)
     if g == 0:
         return _OUT_OF_SCOPE_G0
-    if g == 1 or d > 2 * g - 2:
+    if g < _least_special_genus(d):
         return _EXCLUDED_NON_SPECIAL
     if bounds.embed_dim_cap(d, g) < r:
         return _EXCLUDED_NO_ALPHA
@@ -284,6 +310,81 @@ def scan_streamed(d: int, g: int, r: int) -> Verdict:
         else:
             verdict = Verdict(SURVIVORS, witnesses)
     return verdict
+
+
+def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
+    (alpha, case) with a g <= g_top at which scan's gates pass, the case
+    applies and alpha lies in the case's window (case_alpha_range):
+    those g are exactly g_lo..g_hi.  The genus caps are not applied.
+
+    Every such condition is monotone in g, so the g form one interval:
+    the gates and the case split bound g below (cases 3/4 also above,
+    by d), the slack is linear in g with coefficient r - 3 or r - 4,
+    which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
+    embedding cap never binds once the case applies.  A case's alpha
+    run from its window's floor at its largest g (the floor falls as g
+    rises) to its ceiling at its least g.
+    """
+    _check_domain(d, r)
+    least = _least_special_genus(d)
+    spans = []
+    for case, g_min, g_max in (
+        (SieveCase.CASE1, max(least, d + 1), g_top),
+        (SieveCase.CASE2, max(least, d + 1), g_top),
+        (SieveCase.CASE3, least, min(d, g_top)),
+        (SieveCase.CASE4, least, min(d, g_top)),
+    ):
+        if g_min > g_max:
+            continue
+        alpha_lo = case_alpha_range(case, d, g_max, r)[0]
+        alpha_hi = case_alpha_range(case, d, g_min, r)[1]
+        if alpha_lo > alpha_hi:
+            continue
+        # case_slack = at_zero + per_g * g + per_alpha * alpha.
+        at_zero = case_slack(case, d, 0, r, 0)
+        per_g = case_slack(case, d, 1, r, 0) - at_zero
+        per_alpha = case_slack(case, d, 0, r, 1) - at_zero
+        p, q, k = _ALPHA_CAPS[case]
+        spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, p * d + k, q))
+    if not spans:
+        return
+    first = min(span[3] for span in spans)
+    last = max(span[4] for span in spans)
+    for alpha in range(first, last + 1):
+        for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_num, q in spans:
+            if not alpha_lo <= alpha <= alpha_hi:
+                continue
+            slack_at_zero = at_zero + per_alpha * alpha
+            if per_g:
+                g_lo = max(g_min, -(slack_at_zero // per_g))
+            elif slack_at_zero >= 0:
+                g_lo = g_min
+            else:
+                continue
+            # alpha <= alpha_cap: q*g <= p*d + k - 3*alpha.
+            g_hi = min(g_max, cap_num - 3 * alpha) if q else g_max
+            if g_lo <= g_hi:
+                yield alpha, case, g_lo, g_hi
+
+
+def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
+    (alpha, case) that is a witness of scan(d, g, r) for some g <= g_top:
+    the window_intervals cut by genus_cap(d, alpha), which depends on
+    (d, alpha) only.  As in genus_caps_ok, pi(d, alpha) is read once per
+    alpha with a window interval, and the profile only once some
+    interval of that alpha reaches down to pi."""
+    cap_alpha = pi = cap = None
+    for alpha, case, g_lo, g_hi in window_intervals(d, r, g_top):
+        if alpha != cap_alpha:
+            cap_alpha, pi, cap = alpha, bounds.max_genus_pi(d, alpha), None
+        if g_lo > pi:
+            continue
+        if cap is None:
+            cap = _profile_cap(d, alpha, pi)
+        if g_lo <= cap:
+            yield alpha, case, g_lo, min(g_hi, cap)
 
 
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:
@@ -355,8 +456,8 @@ def derived_satisfied(which: Ineq, value: int) -> bool:
 # clauses (p, q, s), each meaning s*d > p*g + q.  Every p is positive,
 # so a clause holds exactly for g up to its limit (s*d - q - 1) // p,
 # and the in-range g of one degree run from 1 to the largest AND limit.
-# Rows for r >= 11 come from _range_rows; range_genera adds the r = 5
-# window and the r = 9 exception.
+# Rows for r >= 11 come from _range_rows; range_genera adds the r = 9
+# exception.
 #
 # The paper's r = 6 range has a fourth term, 2d > g + 10 and
 # 5d > 3g - 1, which adds nothing over the integers: 5d > 3g - 1 means
@@ -373,7 +474,9 @@ _RANGE_ROWS: dict[int, tuple] = {
     10: (((21, -4, 22),), ((17, 12, 18),)),
 }
 
-# The clause the r = 5 range adds on the degree window 101..113.
+# The clause the r = 5 range adds on the degree window 101..113.  There
+# the row of r = 5 already implies it (its limit lies 57 or more above
+# range_g_limit), so range_genera leaves it out; verify_r5_window reads it.
 _R5_WINDOW = (1, 22, 3)
 
 
@@ -400,22 +503,12 @@ def range_g_limit(d: int, r: int) -> int:
     return limit
 
 
-def r5_window_limit(d: int) -> int:
-    """The largest g meeting the clause the r = 5 range adds on the
-    degree window 101..113."""
-    return _clause_limit(d, _R5_WINDOW)
-
-
 def range_genera(d: int, r: int, *, honor_exception: bool = True) -> range | tuple:
     """The g >= 1 with (d, g) in the hypothesis range of the r >= 4
-    theorem, ascending: 1..range_g_limit, capped by r5_window_limit for
-    r = 5 on the degree window 101..113; r = 9 excepts a single point
+    theorem, ascending: 1..range_g_limit; r = 9 excepts a single point
     unless honor_exception is disabled.
     """
-    limit = range_g_limit(d, r)
-    if r == 5 and 101 <= d <= 113:
-        limit = min(limit, r5_window_limit(d))
-    genera = range(1, limit + 1)
+    genera = range(1, range_g_limit(d, r) + 1)
     if r == 9 and honor_exception:
         except_d, except_g = (30, 34)
         if d == except_d:

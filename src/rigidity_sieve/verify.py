@@ -132,6 +132,23 @@ def check_case34_args(r_lo: int, r_hi: int, d_max: int) -> None:
         raise ValueError(f"need d_max >= 1, got {d_max}")
 
 
+def _covered(intervals) -> list:
+    """The distinct g of the (g_lo, g_hi) intervals, ascending."""
+    out, top = [], 0
+    for g_lo, g_hi in sorted(intervals):
+        out.extend(range(max(g_lo, top + 1), g_hi + 1))
+        top = max(top, g_hi)
+    return out
+
+
+def _surviving_genera(d: int, r: int, genera) -> list:
+    """The g of genera (ascending) at which scan(d, g, r) has a witness."""
+    if not genera:
+        return []
+    intervals = ((g_lo, g_hi) for _, _, g_lo, g_hi in sieve.genus_intervals(d, r, genera[-1]))
+    return [g for g in _covered(intervals) if g in genera]
+
+
 def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     """Confirm no witness in the d >= g cases survives for r in
     [r_lo, r_hi] over d <= d_max, g in [2, d].
@@ -145,20 +162,29 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     )
     for r in range(r_lo, r_hi + 1):
         for d in range(1, d_max + 1):
-            for g in range(2, d + 1):
-                report.checked += 1
-                # d >= g, so every witness is a case-3 or case-4 one.
-                for w in sieve.scan(d, g, r).witnesses:
-                    report.violations.append(
-                        {
-                            "r": r,
-                            "d": d,
-                            "g": g,
-                            "alpha": w.alpha,
-                            "case": w.case.value,
-                            "slack": w.slack,
-                        }
-                    )
+            report.checked += max(0, d - 1)
+            # g <= d, so every witness is a case-3 or case-4 one; the
+            # intervals come in (alpha, case) order, which the stable
+            # sort keeps within each g.
+            hits = sorted(
+                (
+                    (g, alpha, case)
+                    for alpha, case, g_lo, g_hi in sieve.genus_intervals(d, r, d)
+                    for g in range(g_lo, g_hi + 1)
+                ),
+                key=lambda hit: hit[0],
+            )
+            for g, alpha, case in hits:
+                report.violations.append(
+                    {
+                        "r": r,
+                        "d": d,
+                        "g": g,
+                        "alpha": alpha,
+                        "case": case.value,
+                        "slack": sieve.case_slack(case, d, g, r, alpha),
+                    }
+                )
     return report
 
 
@@ -167,17 +193,16 @@ def _thm41_chunk(args: tuple) -> tuple:
     checked = 0
     violations = []
     for d in range(d_lo, d_hi + 1):
-        for g in sieve.range_genera(d, r, honor_exception=honor_exception):
-            checked += 1
-            verdict = sieve.scan(d, g, r)
-            if verdict.is_survivor:
-                violations.append(
-                    {
-                        "d": d,
-                        "g": g,
-                        "witnesses": [w.to_dict() for w in verdict.witnesses],
-                    }
-                )
+        genera = sieve.range_genera(d, r, honor_exception=honor_exception)
+        checked += len(genera)
+        for g in _surviving_genera(d, r, genera):
+            violations.append(
+                {
+                    "d": d,
+                    "g": g,
+                    "witnesses": [w.to_dict() for w in sieve.scan(d, g, r).witnesses],
+                }
+            )
     return checked, violations
 
 
@@ -439,56 +464,61 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     }
     survivors = 0
     for d in range(1, d_max + 1):
-        in_range = sieve.range_genera(d, r)
-        for g in range(2, 2 * d + 1):
-            if d > 2 * g - 2:
-                continue
-            report.checked += 1
-            if d < g:
-                cases = ((SieveCase.CASE1, -(-d // 3)), (SieveCase.CASE2, -(-d // 3)))
+        # g in [2, 2d] with d <= 2g - 2
+        report.checked += len(range(max(2, (d + 3) // 2), 2 * d + 1))
+        # Violations keyed by (g, case index, part, alpha), sorted at
+        # the end of the degree; part (c) sorts after every case.
+        found = []
+        fired = {case: [] for case in SieveCase}
+        cap_alpha = cap = None
+        for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
+            if alpha != cap_alpha:
+                cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
+            fired[case].append((g_lo, min(g_hi, cap)))
+            # (a): alpha is at or above the boundary on g >= a_lo.
+            if case in (SieveCase.CASE1, SieveCase.CASE2):
+                a_lo = g_lo if 3 * alpha >= d else g_hi + 1
             else:
-                boundary = -(-(2 * d - g) // 3)
-                cases = ((SieveCase.CASE3, boundary), (SieveCase.CASE4, boundary))
-            is_survivor = False
-            for case, boundary_lo in cases:
-                lo, hi = sieve.case_alpha_range(case, d, g, r)
-                for alpha in range(max(lo, boundary_lo), hi + 1):
-                    prof = bounds.castelnuovo_profile(d, alpha)
-                    pi2_cap = d if case in (SieveCase.CASE1, SieveCase.CASE2) else g - 1
-                    shape_ok = (
-                        prof.m2 == 2
-                        and prof.mu2 == 0
-                        and prof.pi2 <= pi2_cap
-                        and not sieve.genus_caps_ok(d, g, alpha)
-                    )
-                    if not shape_ok:
-                        report.violations.append(
-                            {
-                                "part": "a",
-                                "d": d,
-                                "g": g,
-                                "alpha": alpha,
-                                "case": case.value,
-                                "m2": prof.m2,
-                                "mu2": prof.mu2,
-                                "pi2": prof.pi2,
-                            }
-                        )
-                # The per-case degree bound is alpha-free, so one witness
-                # in this case suffices to test it.
-                case_fires = any(
-                    sieve.genus_caps_ok(d, g, alpha) for alpha in range(lo, hi + 1)
-                )
-                if case_fires:
-                    is_survivor = True
-                    if not case_bounds[case](d, g):
-                        report.violations.append(
-                            {"part": "b", "d": d, "g": g, "case": case.value}
-                        )
-            if is_survivor:
-                survivors += 1
-                if g in in_range:
-                    report.violations.append({"part": "c", "d": d, "g": g})
+                a_lo = max(g_lo, 2 * d - 3 * alpha)
+            if a_lo > g_hi:
+                continue
+            prof = bounds.castelnuovo_profile(d, alpha)
+            # The shape holds on g >= pi2 + 1 (cases 3/4) with the caps
+            # excluding g > cap, so the g that fail it are a prefix.
+            if prof.m2 != 2 or prof.mu2 != 0:
+                a_hi = g_hi
+            elif case in (SieveCase.CASE1, SieveCase.CASE2):
+                a_hi = g_hi if prof.pi2 > d else min(g_hi, cap)
+            else:
+                a_hi = min(g_hi, max(prof.pi2, cap))
+            for g in range(a_lo, a_hi + 1):
+                violation = {
+                    "part": "a",
+                    "d": d,
+                    "g": g,
+                    "alpha": alpha,
+                    "case": case.value,
+                    "m2": prof.m2,
+                    "mu2": prof.mu2,
+                    "pi2": prof.pi2,
+                }
+                found.append(((g, case.index, 0, alpha), violation))
+        # (b): the per-case degree bound is alpha-free, so it is tested
+        # once per g at which the case has a witness.
+        surviving = set()
+        for case, intervals in fired.items():
+            for g in _covered(intervals):
+                surviving.add(g)
+                if not case_bounds[case](d, g):
+                    found.append(((g, case.index, 1, 0), {"part": "b", "d": d, "g": g, "case": case.value}))
+        survivors += len(surviving)
+        # (c)
+        in_range = sieve.range_genera(d, r)
+        for g in surviving:
+            if g in in_range:
+                found.append(((g, len(SieveCase) + 1, 2, 0), {"part": "c", "d": d, "g": g}))
+        found.sort(key=lambda entry: entry[0])
+        report.violations.extend(violation for _, violation in found)
     report.audit["survivors"] = survivors
     return report
 
@@ -502,8 +532,8 @@ def check_r5window_args(d_lo: int, d_hi: int) -> None:
 def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     """Enumerate sieve survivors at r = 5 inside the degree window with
     g <= sieve.range_g_limit (the range without the window's extra
-    clause), and confirm each lies above sieve.r5_window_limit, the
-    limit of that clause (without which it would slip in-range).
+    clause), and confirm each lies above the limit of that clause
+    (without which it would slip in-range).
 
     Calling with a window other than the canonical 101..113 runs in
     diagnostic mode: survivors are reported for inspection only and are
@@ -517,14 +547,14 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     )
     found = []
     for d in range(d_lo, d_hi + 1):
-        window_limit = sieve.r5_window_limit(d)
-        for g in range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1):
-            report.checked += 1
-            if sieve.scan(d, g, 5).is_survivor:
-                excluded_by_window = g > window_limit
-                found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
-                if not diagnostic and not excluded_by_window:
-                    report.violations.append({"d": d, "g": g})
+        window_limit = sieve._clause_limit(d, sieve._R5_WINDOW)
+        genera = range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1)
+        report.checked += len(genera)
+        for g in _surviving_genera(d, 5, genera):
+            excluded_by_window = g > window_limit
+            found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
+            if not diagnostic and not excluded_by_window:
+                report.violations.append({"d": d, "g": g})
     report.audit["survivors"] = found
     return report
 

@@ -330,6 +330,11 @@ class TestSweep:
         assert code == 0
         assert b"Traceback" not in stderr
 
+    @pytest.mark.parametrize("r", [4, 9, 20])
+    @pytest.mark.parametrize("g_max,in_range_only", [(None, False), (150, False), (None, True), (40, True)])
+    def test_rows_match_per_point_scan(self, r, g_max, in_range_only):
+        assert cli.run_sweep(r, 60, g_max, in_range_only) == naive_sweep_rows(r, 60, g_max, in_range_only)
+
     def test_pool_path_matches_serial(self, capsys, monkeypatch):
         args = ("sweep", "--r", "9", "--d-max", "130")
         monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
@@ -340,6 +345,31 @@ class TestSweep:
         code, serial, _ = run(capsys, *args)
         assert code == 0
         assert pooled == serial
+
+
+def naive_sweep_rows(r, d_max, g_max, in_range_only):
+    """The r >= 4 sweep rows from one scan per (d, g)."""
+    labels = {sieve.SURVIVORS: "survivor", sieve.EXCLUDED: "excluded", sieve.OUT_OF_SCOPE: "out-of-scope"}
+    rows = []
+    for d in range(1, d_max + 1):
+        in_range = sieve.range_genera(d, r)
+        genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
+        for g in genera:
+            if g_max is not None and g > g_max:
+                break
+            verdict = sieve.scan(d, g, r)
+            rows.append(
+                {
+                    "d": d,
+                    "g": g,
+                    "r": r,
+                    "verdict": labels[verdict.outcome],
+                    "witnesses": len(verdict.witnesses),
+                    "alpha_list": [w.alpha for w in verdict.witnesses],
+                    "range_thm41": g in in_range,
+                }
+            )
+    return rows
 
 
 class TestVerify:
@@ -411,6 +441,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")
         assert code == 2
         assert out == "" and "error:" in err
+
+    def test_output_is_the_same_at_one_and_two_workers(self, capsys, monkeypatch):
+        argv = ("verify", "thm41", "--r", "9", "--d-max", "200", "--no-exception", "--format", "json")
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", workers)
+            code, out, _ = run(capsys, *argv)
+            assert code == 1
+            payload = json.loads(out)
+            payload.pop("metadata")
+            outputs[workers] = json.dumps(payload, indent=2).encode()
+        assert outputs["1"] == outputs["2"]
+        assert [(v["d"], v["g"]) for v in json.loads(outputs["1"])["reports"][0]["violations"]] == [(30, 34)]
 
 
 class TestSplit:

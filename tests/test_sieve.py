@@ -4,7 +4,7 @@ hypothesis-range predicate, and the 3-space chain and classification."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidity_sieve import bounds, sieve
@@ -238,6 +238,85 @@ class TestScan:
         assert d["witnesses"][0]["profile"]["m2"] == 2
 
 
+def expanded_intervals(d, r, top):
+    """g -> the (alpha, case) list of the genus intervals, for every g
+    in 0..top, in the order the intervals come."""
+    out = {g: [] for g in range(top + 1)}
+    for alpha, case, g_lo, g_hi in sieve.genus_intervals(d, r, top):
+        assert g_lo <= g_hi <= top
+        for g in range(g_lo, g_hi + 1):
+            out[g].append((alpha, case))
+    return out
+
+
+def assert_intervals_match_scan(d, r, top):
+    got = expanded_intervals(d, r, top)
+    for g in range(top + 1):
+        want = [(w.alpha, w.case) for w in sieve.scan(d, g, r).witnesses]
+        assert got[g] == want, (d, r, top, g)
+
+
+class TestGenusIntervals:
+    @settings(max_examples=40)
+    @given(data=st.data(), d=st.integers(1, 3000), r=st.integers(4, 30))
+    def test_expanded_intervals_equal_scan(self, data, d, r):
+        top = data.draw(st.integers(0, 2 * d + 5), label="top")
+        assert_intervals_match_scan(d, r, top)
+
+    def test_small_grid_equals_scan(self):
+        for r in (4, 5, 9, 11, 12):
+            for d in range(1, 90):
+                assert_intervals_match_scan(d, r, 2 * d + 5)
+
+    @pytest.mark.parametrize("d,g,r,alpha,cases", [(68, 63, 12, 24, {SieveCase.CASE4}), (524, 488, 12, 186, {SieveCase.CASE3, SieveCase.CASE4})])
+    def test_alpha_ceiling_above_d_over_3(self, d, g, r, alpha, cases):
+        # For d > g the case-3/4 windows reach (2d - g)/3, well above d/3.
+        assert alpha > d // 3
+        witnesses = {(w.alpha, w.case) for w in sieve.scan(d, g, r).witnesses}
+        assert {(alpha, case) for case in cases} <= witnesses
+        got = expanded_intervals(d, r, 2 * d + 5)
+        assert {(alpha, case) for case in cases} <= set(got[g])
+        assert_intervals_match_scan(d, r, 2 * d + 5)
+
+    def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
+        profile_calls, pi_calls = [], []
+        real_profile, real_pi = bounds.castelnuovo_profile, bounds.max_genus_pi
+
+        def counting_profile(d, alpha):
+            profile_calls.append((d, alpha))
+            return real_profile(d, alpha)
+
+        def counting_pi(d, r):
+            pi_calls.append((d, r))
+            return real_pi(d, r)
+
+        monkeypatch.setattr(bounds, "castelnuovo_profile", counting_profile)
+        monkeypatch.setattr(bounds, "max_genus_pi", counting_pi)
+        for r in (4, 9, 12):
+            for d in range(1, 150):
+                for top in (d // 2, d, 2 * d + 5):
+                    windowed = {(d, alpha) for alpha, _, _, _ in sieve.window_intervals(d, r, top)}
+                    profile_calls.clear()
+                    pi_calls.clear()
+                    list(sieve.genus_intervals(d, r, top))
+                    assert len(profile_calls) == len(set(profile_calls)), (d, r, top)
+                    assert set(profile_calls) <= windowed, (d, r, top)
+                    assert sorted(pi_calls) == sorted(windowed), (d, r, top)
+
+    def test_genus_cap_is_the_largest_passing_genus(self):
+        for d in range(5, 40):
+            for alpha in range(3, d - 1):
+                cap = sieve.genus_cap(d, alpha)
+                flags = [sieve.genus_caps_ok(d, g, alpha) for g in range(cap + 3)]
+                assert flags == [True] * (cap + 1) + [False] * 2, (d, alpha)
+
+    def test_rejects_out_of_domain(self):
+        with pytest.raises(ValueError):
+            list(sieve.genus_intervals(10, 3, 20))
+        with pytest.raises(ValueError):
+            list(sieve.genus_intervals(0, 5, 20))
+
+
 class TestDerivedInequalities:
     def test_expansions_equal_substitution_forms(self):
         # Doubled expansions match 2*((r-3)*pi - linear part) at the profile
@@ -315,6 +394,19 @@ class TestHypothesisRange:
                     assert in_range == (basic and 3 * d > g + 22)
                 else:
                     assert in_range == basic
+
+    def test_r5_window_clause_has_margin_over_the_row(self):
+        # On 101..113 the window clause 3d > g + 22 lies 57 or more above
+        # the r = 5 row's limit, so the row implies it and range_genera
+        # need not apply it.  An edit to the row that lets the clause
+        # bind must revisit range_genera.
+        margins = [
+            sieve._clause_limit(d, sieve._R5_WINDOW) - sieve.range_g_limit(d, 5)
+            for d in range(101, 114)
+        ]
+        assert min(margins) >= 57
+        for d in range(101, 114):
+            assert list(sieve.range_genera(d, 5)) == list(range(1, sieve.range_g_limit(d, 5) + 1))
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ the patched function is the one the sweep actually calls.
 import pytest
 
 from rigidity_sieve import bounds, sieve, verify
+from rigidity_sieve.sieve import SieveCase
 
 REAL_PROFILE = bounds.castelnuovo_profile
 
@@ -22,6 +23,115 @@ def drop_mu2_case(d, alpha):
     if prof.mu2 == 0:
         return prof._replace(mu2=1, pi2=prof.pi2 + 1)
     return prof
+
+
+def caps_raised_by_40(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi1=prof.pi1 + 40, pi2=prof.pi2 + 40)
+
+
+# ------------------------------------------------------------- oracles
+#
+# The per-point loops the suites ran before they read genus intervals:
+# one scan (or one alpha walk) per (d, g).  Each returns
+# (checked, violations, audit).
+
+
+def naive_thm41(r, d_max, honor_exception=True):
+    checked, violations = 0, []
+    for d in range(1, d_max + 1):
+        for g in sieve.range_genera(d, r, honor_exception=honor_exception):
+            checked += 1
+            verdict = sieve.scan(d, g, r)
+            if verdict.is_survivor:
+                violations.append({"d": d, "g": g, "witnesses": [w.to_dict() for w in verdict.witnesses]})
+    return checked, violations, {}
+
+
+def naive_case34(r_lo, r_hi, d_max):
+    checked, violations = 0, []
+    for r in range(r_lo, r_hi + 1):
+        for d in range(1, d_max + 1):
+            for g in range(2, d + 1):
+                checked += 1
+                for w in sieve.scan(d, g, r).witnesses:
+                    violations.append(
+                        {"r": r, "d": d, "g": g, "alpha": w.alpha, "case": w.case.value, "slack": w.slack}
+                    )
+    return checked, violations, {}
+
+
+def naive_r11(r, d_max):
+    case_bounds = {
+        SieveCase.CASE1: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 8,
+        SieveCase.CASE2: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 14,
+        SieveCase.CASE3: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 8,
+        SieveCase.CASE4: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 14,
+    }
+    checked, violations, survivors = 0, [], 0
+    for d in range(1, d_max + 1):
+        in_range = sieve.range_genera(d, r)
+        for g in range(2, 2 * d + 1):
+            if d > 2 * g - 2:
+                continue
+            checked += 1
+            if d < g:
+                cases = ((SieveCase.CASE1, -(-d // 3)), (SieveCase.CASE2, -(-d // 3)))
+            else:
+                boundary = -(-(2 * d - g) // 3)
+                cases = ((SieveCase.CASE3, boundary), (SieveCase.CASE4, boundary))
+            is_survivor = False
+            for case, boundary_lo in cases:
+                lo, hi = sieve.case_alpha_range(case, d, g, r)
+                for alpha in range(max(lo, boundary_lo), hi + 1):
+                    prof = bounds.castelnuovo_profile(d, alpha)
+                    pi2_cap = d if case in (SieveCase.CASE1, SieveCase.CASE2) else g - 1
+                    shape_ok = (
+                        prof.m2 == 2
+                        and prof.mu2 == 0
+                        and prof.pi2 <= pi2_cap
+                        and not sieve.genus_caps_ok(d, g, alpha)
+                    )
+                    if not shape_ok:
+                        violations.append(
+                            {
+                                "part": "a",
+                                "d": d,
+                                "g": g,
+                                "alpha": alpha,
+                                "case": case.value,
+                                "m2": prof.m2,
+                                "mu2": prof.mu2,
+                                "pi2": prof.pi2,
+                            }
+                        )
+                if any(sieve.genus_caps_ok(d, g, alpha) for alpha in range(lo, hi + 1)):
+                    is_survivor = True
+                    if not case_bounds[case](d, g):
+                        violations.append({"part": "b", "d": d, "g": g, "case": case.value})
+            if is_survivor:
+                survivors += 1
+                if g in in_range:
+                    violations.append({"part": "c", "d": d, "g": g})
+    return checked, violations, {"survivors": survivors}
+
+
+def naive_r5_window(d_lo, d_hi):
+    checked, violations, found = 0, [], []
+    diagnostic = (d_lo, d_hi) != (101, 113)
+    for d in range(d_lo, d_hi + 1):
+        window_limit = sieve._clause_limit(d, sieve._R5_WINDOW)
+        for g in range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1):
+            checked += 1
+            if sieve.scan(d, g, 5).is_survivor:
+                found.append({"d": d, "g": g, "excluded_by_window": g > window_limit})
+                if not diagnostic and g <= window_limit:
+                    violations.append({"d": d, "g": g})
+    return checked, violations, {"survivors": found}
+
+
+def report_parts(report):
+    return report.checked, report.violations, report.audit
 
 
 @pytest.fixture
@@ -250,3 +360,59 @@ class TestMutationDetection:
         # The fixtures must not leak: the same sweeps pass on clean code.
         assert verify.verify_thm41(7, 40).ok
         assert verify.verify_thm41(5, 50).ok
+
+
+class TestAgainstPerPointOracles:
+    """Each suite that reads genus intervals gives the report of its old
+    per-point loop: violations in order, checked and audit."""
+
+    @pytest.mark.parametrize("honor", [True, False])
+    def test_thm41(self, serial, honor):
+        report = verify.verify_thm41(9, 200, honor_exception=honor)
+        assert report_parts(report) == naive_thm41(9, 200, honor)
+        assert report.ok == honor
+
+    def test_thm41_under_mutation(self, serial, monkeypatch):
+        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_raised_by_40)
+        report = verify.verify_thm41(6, 90)
+        assert report.violations
+        assert report_parts(report) == naive_thm41(6, 90)
+
+    def test_case34_where_the_claim_fails(self):
+        report = verify.verify_case34_never(11, 12, 150)
+        checked, violations, audit = naive_case34(11, 12, 150)
+        assert len(violations) > 10
+        assert report_parts(report) == (checked, violations, audit)
+
+    def test_case34_where_the_claim_holds(self):
+        assert report_parts(verify.verify_case34_never(4, 10, 90)) == naive_case34(4, 10, 90)
+
+    @pytest.mark.parametrize("r", [11, 12, 13])
+    def test_r11(self, r):
+        report = verify.verify_r_ge_11(r, 80)
+        assert report.ok
+        assert report_parts(report) == naive_r11(r, 80)
+
+    @pytest.mark.parametrize("r", [11, 12, 13])
+    @pytest.mark.parametrize("mutation", [caps_raised_by_40, drop_mu2_case])
+    def test_r11_under_mutation(self, monkeypatch, r, mutation):
+        monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
+        checked, violations, audit = naive_r11(r, 80)
+        parts = {v["part"] for v in violations}
+        assert "a" in parts
+        if mutation is caps_raised_by_40:
+            assert parts == {"a", "b", "c"}
+        assert report_parts(verify.verify_r_ge_11(r, 80)) == (checked, violations, audit)
+
+    def test_r5_window_diagnostic(self):
+        assert report_parts(verify.verify_r5_window(95, 130)) == naive_r5_window(95, 130)
+
+    @pytest.mark.parametrize("window", [(95, 130), (101, 113)])
+    def test_r5_window_under_mutation(self, monkeypatch, window):
+        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_raised_by_40)
+        checked, violations, audit = naive_r5_window(*window)
+        assert audit["survivors"]
+        assert report_parts(verify.verify_r5_window(*window)) == (checked, violations, audit)
+
+    def test_r5_window_canonical(self):
+        assert report_parts(verify.verify_r5_window()) == naive_r5_window(101, 113)
