@@ -322,7 +322,7 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     the gates and the case split bound g below (cases 3/4 also above,
     by d), the slack is linear in g with coefficient r - 3 or r - 4,
     which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
-    embedding cap never binds once the case applies.  A case's alpha
+    embedding cap never binds once the case applies.  A case's alphas
     run from its window's floor at its largest g (the floor falls as g
     rises) to its ceiling at its least g.
     """

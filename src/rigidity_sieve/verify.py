@@ -162,7 +162,7 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     )
     for r in range(r_lo, r_hi + 1):
         for d in range(1, d_max + 1):
-            report.checked += max(0, d - 1)
+            report.checked += d - 1
             # g <= d, so every witness is a case-3 or case-4 one; the
             # intervals come in (alpha, case) order, which the stable
             # sort keeps within each g.
@@ -474,7 +474,8 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
             if alpha != cap_alpha:
                 cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
-            fired[case].append((g_lo, min(g_hi, cap)))
+            if g_lo <= cap:
+                fired[case].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
             if case in (SieveCase.CASE1, SieveCase.CASE2):
                 a_lo = g_lo if 3 * alpha >= d else g_hi + 1
@@ -483,8 +484,10 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
             if a_lo > g_hi:
                 continue
             prof = bounds.castelnuovo_profile(d, alpha)
-            # The shape holds on g >= pi2 + 1 (cases 3/4) with the caps
-            # excluding g > cap, so the g that fail it are a prefix.
+            # The g that fail (a) are a prefix: all of them unless
+            # m2 = 2 and mu2 = 0 (and pi2 <= d in cases 1/2); otherwise
+            # those the caps let through (g <= cap) and, in cases 3/4,
+            # those with pi2 > g - 1.
             if prof.m2 != 2 or prof.mu2 != 0:
                 a_hi = g_hi
             elif case in (SieveCase.CASE1, SieveCase.CASE2):

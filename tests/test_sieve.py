@@ -268,7 +268,13 @@ class TestGenusIntervals:
             for d in range(1, 90):
                 assert_intervals_match_scan(d, r, 2 * d + 5)
 
-    @pytest.mark.parametrize("d,g,r,alpha,cases", [(68, 63, 12, 24, {SieveCase.CASE4}), (524, 488, 12, 186, {SieveCase.CASE3, SieveCase.CASE4})])
+    @pytest.mark.parametrize(
+        "d,g,r,alpha,cases",
+        [
+            (68, 63, 12, 24, {SieveCase.CASE4}),
+            (524, 488, 12, 186, {SieveCase.CASE3, SieveCase.CASE4}),
+        ],
+    )
     def test_alpha_ceiling_above_d_over_3(self, d, g, r, alpha, cases):
         # For d > g the case-3/4 windows reach (2d - g)/3, well above d/3.
         assert alpha > d // 3

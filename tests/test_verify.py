@@ -30,6 +30,16 @@ def caps_raised_by_40(d, alpha):
     return prof._replace(pi1=prof.pi1 + 40, pi2=prof.pi2 + 40)
 
 
+def pi2_raised_by_1(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi2=prof.pi2 + 1)
+
+
+def pi2_raised_by_40(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi2=prof.pi2 + 40)
+
+
 # ------------------------------------------------------------- oracles
 #
 # The per-point loops the suites ran before they read genus intervals:
@@ -394,7 +404,9 @@ class TestAgainstPerPointOracles:
         assert report_parts(report) == naive_r11(r, 80)
 
     @pytest.mark.parametrize("r", [11, 12, 13])
-    @pytest.mark.parametrize("mutation", [caps_raised_by_40, drop_mu2_case])
+    @pytest.mark.parametrize(
+        "mutation", [caps_raised_by_40, pi2_raised_by_1, pi2_raised_by_40, drop_mu2_case]
+    )
     def test_r11_under_mutation(self, monkeypatch, r, mutation):
         monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
         checked, violations, audit = naive_r11(r, 80)
