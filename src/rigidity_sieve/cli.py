@@ -15,7 +15,6 @@ which CSV output omits entirely.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import functools
 import io
@@ -174,16 +173,6 @@ def _sweep_row(d: int, g: int, r: int, alpha_list: list, in_range) -> dict:
     }
 
 
-def _alpha_lists(d: int, r: int, g_top: int) -> dict:
-    """g -> the alphas of the witnesses of scan(d, g, r) in (alpha, case)
-    order, for each g <= g_top that has one."""
-    lists = collections.defaultdict(list)
-    for alpha, _, g_lo, g_hi in sieve.genus_intervals(d, r, g_top):
-        for g in range(g_lo, g_hi + 1):
-            lists[g].append(alpha)
-    return lists
-
-
 def _sweep_chunk(args: tuple) -> list:
     d_lo, d_hi, r, g_max, in_range_only = args
     rows = []
@@ -195,14 +184,14 @@ def _sweep_chunk(args: tuple) -> list:
             in_range = sieve.range_genera(d, r)
             genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
             top = genera[-1] if genera else 0
-            alpha_lists = _alpha_lists(d, r, top if g_max is None else min(top, g_max))
+            witnesses = sieve.witnesses_by_genus(d, r, top if g_max is None else min(top, g_max))
         for g in genera:
             if g_max is not None and g > g_max:
                 break
             if r == 3:
                 alpha_list = [w.alpha for w in sieve.r3_sieve(d, g).witnesses]
             else:
-                alpha_list = alpha_lists.get(g, [])
+                alpha_list = [alpha for alpha, _ in witnesses.get(g, ())]
             rows.append(_sweep_row(d, g, r, alpha_list, in_range))
     return rows
 

@@ -149,20 +149,16 @@ def case_slack(case: SieveCase, d: int, g: int, r: int, alpha: int) -> int:
     return (r - 3) * g - (r + 1) * (d - alpha) + 3
 
 
-# The alpha cap of each case: alpha <= (p*d - q*g + k) / 3.
-_ALPHA_CAPS = {
-    SieveCase.CASE1: (1, 0, 1),
-    SieveCase.CASE2: (1, 0, 0),
-    SieveCase.CASE3: (2, 1, 1),
-    SieveCase.CASE4: (2, 1, 0),
-}
-
-
 def alpha_cap(case: SieveCase, d: int, g: int) -> int:
     """Largest alpha allowed by the case: floor of (d+1)/3, d/3,
     (2d-g+1)/3, (2d-g)/3 for cases 1..4 respectively."""
-    p, q, k = _ALPHA_CAPS[case]
-    return (p * d - q * g + k) // 3
+    if case is SieveCase.CASE1:
+        return (d + 1) // 3
+    if case is SieveCase.CASE2:
+        return d // 3
+    if case is SieveCase.CASE3:
+        return (2 * d - g + 1) // 3
+    return (2 * d - g) // 3
 
 
 def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
@@ -205,9 +201,15 @@ def genus_cap(d: int, alpha: int) -> int:
 def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     """Whether genus g survives the three-step genus caps at (d, alpha):
     g <= pi(d, alpha) always; g <= pi1 once d >= 2*alpha + 1; and for
-    alpha >= 8 with d >= 2*alpha + 3 also g <= pi2 and g < pi1.  The
-    profile is only read once g <= pi(d, alpha)."""
-    return g <= bounds.max_genus_pi(d, alpha) and g <= _profile_cap(d, alpha, g)
+    alpha >= 8 with d >= 2*alpha + 3 also g <= pi2 and g < pi1."""
+    if g > bounds.max_genus_pi(d, alpha):
+        return False
+    prof = bounds.castelnuovo_profile(d, alpha)
+    if d >= 2 * alpha + 1 and g > prof.pi1:
+        return False
+    if alpha >= 8 and d >= 2 * alpha + 3 and (g > prof.pi2 or g >= prof.pi1):
+        return False
+    return True
 
 
 def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
@@ -329,11 +331,13 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     _check_domain(d, r)
     least = _least_special_genus(d)
     spans = []
-    for case, g_min, g_max in (
-        (SieveCase.CASE1, max(least, d + 1), g_top),
-        (SieveCase.CASE2, max(least, d + 1), g_top),
-        (SieveCase.CASE3, least, min(d, g_top)),
-        (SieveCase.CASE4, least, min(d, g_top)),
+    # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
+    # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
+    for case, g_min, g_max, cap_top in (
+        (SieveCase.CASE1, max(least, d + 1), g_top, None),
+        (SieveCase.CASE2, max(least, d + 1), g_top, None),
+        (SieveCase.CASE3, least, min(d, g_top), 2 * d + 1),
+        (SieveCase.CASE4, least, min(d, g_top), 2 * d),
     ):
         if g_min > g_max:
             continue
@@ -345,14 +349,13 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         at_zero = case_slack(case, d, 0, r, 0)
         per_g = case_slack(case, d, 1, r, 0) - at_zero
         per_alpha = case_slack(case, d, 0, r, 1) - at_zero
-        p, q, k = _ALPHA_CAPS[case]
-        spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, p * d + k, q))
+        spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
     if not spans:
         return
     first = min(span[3] for span in spans)
     last = max(span[4] for span in spans)
     for alpha in range(first, last + 1):
-        for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_num, q in spans:
+        for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top in spans:
             if not alpha_lo <= alpha <= alpha_hi:
                 continue
             slack_at_zero = at_zero + per_alpha * alpha
@@ -362,8 +365,7 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
                 g_lo = g_min
             else:
                 continue
-            # alpha <= alpha_cap: q*g <= p*d + k - 3*alpha.
-            g_hi = min(g_max, cap_num - 3 * alpha) if q else g_max
+            g_hi = g_max if cap_top is None else min(g_max, cap_top - 3 * alpha)
             if g_lo <= g_hi:
                 yield alpha, case, g_lo, g_hi
 
@@ -385,6 +387,18 @@ def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
             cap = _profile_cap(d, alpha, pi)
         if g_lo <= cap:
             yield alpha, case, g_lo, min(g_hi, cap)
+
+
+def witnesses_by_genus(d: int, r: int, g_top: int) -> dict:
+    """g -> the (alpha, case) of every witness of scan(d, g, r), in
+    (alpha, case) order, for each g <= g_top that has one; the keys
+    ascend.  It expands the genus_intervals, so it is meant for universes
+    where few g survive."""
+    by_genus = {}
+    for alpha, case, g_lo, g_hi in genus_intervals(d, r, g_top):
+        for g in range(g_lo, g_hi + 1):
+            by_genus.setdefault(g, []).append((alpha, case))
+    return dict(sorted(by_genus.items()))
 
 
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:
@@ -457,7 +471,9 @@ def derived_satisfied(which: Ineq, value: int) -> bool:
 # so a clause holds exactly for g up to its limit (s*d - q - 1) // p,
 # and the in-range g of one degree run from 1 to the largest AND limit.
 # Rows for r >= 11 come from _range_rows; range_genera adds the r = 9
-# exception.
+# exception.  The clause the paper's r = 5 range adds on the degree
+# window 101..113 is left out: the r = 5 row implies it there
+# (verify.r5_window_limit).
 #
 # The paper's r = 6 range has a fourth term, 2d > g + 10 and
 # 5d > 3g - 1, which adds nothing over the integers: 5d > 3g - 1 means
@@ -473,12 +489,6 @@ _RANGE_ROWS: dict[int, tuple] = {
     9: (((9, -5, 10),), ((29, 3, 33),)),
     10: (((21, -4, 22),), ((17, 12, 18),)),
 }
-
-# The clause the r = 5 range adds on the degree window 101..113.  There
-# the row of r = 5 already implies it (its limit lies 57 or more above
-# range_g_limit), so range_genera leaves it out; verify_r5_window reads it.
-_R5_WINDOW = (1, 22, 3)
-
 
 def _range_rows(r: int) -> tuple:
     """The range row of r; for r >= 11 the single clause

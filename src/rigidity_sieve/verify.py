@@ -132,23 +132,6 @@ def check_case34_args(r_lo: int, r_hi: int, d_max: int) -> None:
         raise ValueError(f"need d_max >= 1, got {d_max}")
 
 
-def _covered(intervals) -> list:
-    """The distinct g of the (g_lo, g_hi) intervals, ascending."""
-    out, top = [], 0
-    for g_lo, g_hi in sorted(intervals):
-        out.extend(range(max(g_lo, top + 1), g_hi + 1))
-        top = max(top, g_hi)
-    return out
-
-
-def _surviving_genera(d: int, r: int, genera) -> list:
-    """The g of genera (ascending) at which scan(d, g, r) has a witness."""
-    if not genera:
-        return []
-    intervals = ((g_lo, g_hi) for _, _, g_lo, g_hi in sieve.genus_intervals(d, r, genera[-1]))
-    return [g for g in _covered(intervals) if g in genera]
-
-
 def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     """Confirm no witness in the d >= g cases survives for r in
     [r_lo, r_hi] over d <= d_max, g in [2, d].
@@ -163,28 +146,19 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     for r in range(r_lo, r_hi + 1):
         for d in range(1, d_max + 1):
             report.checked += d - 1
-            # g <= d, so every witness is a case-3 or case-4 one; the
-            # intervals come in (alpha, case) order, which the stable
-            # sort keeps within each g.
-            hits = sorted(
-                (
-                    (g, alpha, case)
-                    for alpha, case, g_lo, g_hi in sieve.genus_intervals(d, r, d)
-                    for g in range(g_lo, g_hi + 1)
-                ),
-                key=lambda hit: hit[0],
-            )
-            for g, alpha, case in hits:
-                report.violations.append(
-                    {
-                        "r": r,
-                        "d": d,
-                        "g": g,
-                        "alpha": alpha,
-                        "case": case.value,
-                        "slack": sieve.case_slack(case, d, g, r, alpha),
-                    }
-                )
+            # g <= d, so every witness is a case-3 or case-4 one.
+            for g, witnesses in sieve.witnesses_by_genus(d, r, d).items():
+                for alpha, case in witnesses:
+                    report.violations.append(
+                        {
+                            "r": r,
+                            "d": d,
+                            "g": g,
+                            "alpha": alpha,
+                            "case": case.value,
+                            "slack": sieve.case_slack(case, d, g, r, alpha),
+                        }
+                    )
     return report
 
 
@@ -195,14 +169,17 @@ def _thm41_chunk(args: tuple) -> tuple:
     for d in range(d_lo, d_hi + 1):
         genera = sieve.range_genera(d, r, honor_exception=honor_exception)
         checked += len(genera)
-        for g in _surviving_genera(d, r, genera):
-            violations.append(
-                {
-                    "d": d,
-                    "g": g,
-                    "witnesses": [w.to_dict() for w in sieve.scan(d, g, r).witnesses],
-                }
-            )
+        if not genera:
+            continue
+        for g in sieve.witnesses_by_genus(d, r, genera[-1]):
+            if g in genera:
+                violations.append(
+                    {
+                        "d": d,
+                        "g": g,
+                        "witnesses": [w.to_dict() for w in sieve.scan(d, g, r).witnesses],
+                    }
+                )
     return checked, violations
 
 
@@ -442,6 +419,15 @@ def check_r11_args(r: int, d_max: int) -> None:
         raise ValueError(f"need d_max >= 1, got {d_max}")
 
 
+def _covered(intervals) -> list:
+    """The distinct g of the (g_lo, g_hi) intervals, ascending."""
+    out, top = [], 0
+    for g_lo, g_hi in sorted(intervals):
+        out.extend(range(max(g_lo, top + 1), g_hi + 1))
+        top = max(top, g_hi)
+    return out
+
+
 def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """Check the three steps of the high-r exclusion over d <= d_max,
     g in [2, 2d]:
@@ -507,7 +493,10 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                 }
                 found.append(((g, case.index, 0, alpha), violation))
         # (b): the per-case degree bound is alpha-free, so it is tested
-        # once per g at which the case has a witness.
+        # once per g at which the case has a witness.  Each case's
+        # intervals are merged, not expanded per alpha as in
+        # sieve.witnesses_by_genus: r = 11 and 12 at d <= 400 have
+        # about 14 M (g, alpha, case) witnesses.
         surviving = set()
         for case, intervals in fired.items():
             for g in _covered(intervals):
@@ -532,15 +521,27 @@ def check_r5window_args(d_lo: int, d_hi: int) -> None:
         raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
 
 
+def r5_window_limit(d: int) -> int:
+    """The largest g meeting the clause 3d > g + 22 that the paper's
+    r = 5 range adds on the degree window 101..113.  There the r = 5 row
+    of the range table already implies it, so sieve.range_genera leaves
+    it out; verify_r5_window checks each survivor against it."""
+    return 3 * d - 23
+
+
 def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     """Enumerate sieve survivors at r = 5 inside the degree window with
     g <= sieve.range_g_limit (the range without the window's extra
-    clause), and confirm each lies above the limit of that clause
-    (without which it would slip in-range).
+    clause), and confirm each lies above r5_window_limit (without which
+    it would slip in-range).
 
     Calling with a window other than the canonical 101..113 runs in
     diagnostic mode: survivors are reported for inspection only and are
     not violations.
+
+    The window is fixed and small (3,056 points, about 13 ms), so this
+    suite runs scan at every point rather than reading genus intervals,
+    which keeps the per-point sieve itself on the `verify all` path.
     """
     check_r5window_args(d_lo, d_hi)
     diagnostic = (d_lo, d_hi) != (101, 113)
@@ -550,14 +551,14 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     )
     found = []
     for d in range(d_lo, d_hi + 1):
-        window_limit = sieve._clause_limit(d, sieve._R5_WINDOW)
-        genera = range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1)
-        report.checked += len(genera)
-        for g in _surviving_genera(d, 5, genera):
-            excluded_by_window = g > window_limit
-            found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
-            if not diagnostic and not excluded_by_window:
-                report.violations.append({"d": d, "g": g})
+        window_limit = r5_window_limit(d)
+        for g in range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1):
+            report.checked += 1
+            if sieve.scan(d, g, 5).is_survivor:
+                excluded_by_window = g > window_limit
+                found.append({"d": d, "g": g, "excluded_by_window": excluded_by_window})
+                if not diagnostic and not excluded_by_window:
+                    report.violations.append({"d": d, "g": g})
     report.audit["survivors"] = found
     return report
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_sieve import bounds, sieve
+from rigidity_sieve import bounds, sieve, verify
 from rigidity_sieve.sieve import Ineq, SieveCase
 
 
@@ -251,9 +251,12 @@ def expanded_intervals(d, r, top):
 
 def assert_intervals_match_scan(d, r, top):
     got = expanded_intervals(d, r, top)
+    by_genus = sieve.witnesses_by_genus(d, r, top)
+    assert list(by_genus) == sorted(by_genus)
     for g in range(top + 1):
         want = [(w.alpha, w.case) for w in sieve.scan(d, g, r).witnesses]
         assert got[g] == want, (d, r, top, g)
+        assert by_genus.get(g, []) == want, (d, r, top, g)
 
 
 class TestGenusIntervals:
@@ -407,7 +410,7 @@ class TestHypothesisRange:
         # need not apply it.  An edit to the row that lets the clause
         # bind must revisit range_genera.
         margins = [
-            sieve._clause_limit(d, sieve._R5_WINDOW) - sieve.range_g_limit(d, 5)
+            verify.r5_window_limit(d) - sieve.range_g_limit(d, 5)
             for d in range(101, 114)
         ]
         assert min(margins) >= 57

@@ -126,20 +126,6 @@ def naive_r11(r, d_max):
     return checked, violations, {"survivors": survivors}
 
 
-def naive_r5_window(d_lo, d_hi):
-    checked, violations, found = 0, [], []
-    diagnostic = (d_lo, d_hi) != (101, 113)
-    for d in range(d_lo, d_hi + 1):
-        window_limit = sieve._clause_limit(d, sieve._R5_WINDOW)
-        for g in range(2, min(5 * d // 2, sieve.range_g_limit(d, 5)) + 1):
-            checked += 1
-            if sieve.scan(d, g, 5).is_survivor:
-                found.append({"d": d, "g": g, "excluded_by_window": g > window_limit})
-                if not diagnostic and g <= window_limit:
-                    violations.append({"d": d, "g": g})
-    return checked, violations, {"survivors": found}
-
-
 def report_parts(report):
     return report.checked, report.violations, report.audit
 
@@ -415,16 +401,3 @@ class TestAgainstPerPointOracles:
         if mutation is caps_raised_by_40:
             assert parts == {"a", "b", "c"}
         assert report_parts(verify.verify_r_ge_11(r, 80)) == (checked, violations, audit)
-
-    def test_r5_window_diagnostic(self):
-        assert report_parts(verify.verify_r5_window(95, 130)) == naive_r5_window(95, 130)
-
-    @pytest.mark.parametrize("window", [(95, 130), (101, 113)])
-    def test_r5_window_under_mutation(self, monkeypatch, window):
-        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_raised_by_40)
-        checked, violations, audit = naive_r5_window(*window)
-        assert audit["survivors"]
-        assert report_parts(verify.verify_r5_window(*window)) == (checked, violations, audit)
-
-    def test_r5_window_canonical(self):
-        assert report_parts(verify.verify_r5_window()) == naive_r5_window(101, 113)
