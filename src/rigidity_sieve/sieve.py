@@ -14,6 +14,7 @@ classification table for the handful of exceptional (d, g).
 
 from __future__ import annotations
 
+import collections
 import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -394,10 +395,11 @@ def witnesses_by_genus(d: int, r: int, g_top: int) -> dict:
     (alpha, case) order, for each g <= g_top that has one; the keys
     ascend.  It expands the genus_intervals, so it is meant for universes
     where few g survive."""
-    by_genus = {}
+    by_genus = collections.defaultdict(list)
     for alpha, case, g_lo, g_hi in genus_intervals(d, r, g_top):
+        witness = (alpha, case)
         for g in range(g_lo, g_hi + 1):
-            by_genus.setdefault(g, []).append((alpha, case))
+            by_genus[g].append(witness)
     return dict(sorted(by_genus.items()))
 
 
