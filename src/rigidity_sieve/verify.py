@@ -539,9 +539,9 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     diagnostic mode: survivors are reported for inspection only and are
     not violations.
 
-    The window is fixed and small (3,056 points, about 13 ms), so this
-    suite runs scan at every point rather than reading genus intervals,
-    which keeps the per-point sieve itself on the `verify all` path.
+    The canonical window is small (3,056 points), so this suite runs
+    scan at every point rather than reading genus intervals, which keeps
+    the per-point sieve itself on the `verify all` path.
     """
     check_r5window_args(d_lo, d_hi)
     diagnostic = (d_lo, d_hi) != (101, 113)
