@@ -173,10 +173,15 @@ def _sweep_row(d: int, g: int, r: int, alpha_list: list, in_range) -> dict:
     }
 
 
-def _sweep_chunk(args: tuple) -> list:
-    d_lo, d_hi, r, g_max, in_range_only = args
+def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False) -> list:
+    """All sweep rows, ordered by (d, g), with g cut at g_max when given.
+
+    For r >= 4 the genus range is 1..g_max (default 2d) per degree, or
+    the in-range genera when filtering to the hypothesis range; for
+    r = 3 it is the reduced grid sieve.r3_genera.
+    """
     rows = []
-    for d in range(d_lo, d_hi + 1):
+    for d in range(1, d_max + 1):
         if r == 3:
             in_range = None
             genera = sieve.r3_genera(d)
@@ -194,17 +199,6 @@ def _sweep_chunk(args: tuple) -> list:
                 alpha_list = [alpha for alpha, _ in witnesses.get(g, ())]
             rows.append(_sweep_row(d, g, r, alpha_list, in_range))
     return rows
-
-
-def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False) -> list:
-    """All sweep rows, ordered by (d, g), with g cut at g_max when given.
-
-    For r >= 4 the genus range is 1..g_max (default 2d) per degree, or
-    the in-range genera when filtering to the hypothesis range; for
-    r = 3 it is the reduced grid sieve.r3_genera.
-    """
-    parts = verify.map_degree_chunks(_sweep_chunk, d_max, r, g_max, in_range_only)
-    return [row for part in parts for row in part]
 
 
 def _r3_grid_is_empty(d_max: int, g_max) -> bool:

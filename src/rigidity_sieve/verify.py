@@ -12,8 +12,6 @@ every report carries that caveat together with the exact universe.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 from . import bounds, sieve, surfaces
@@ -54,36 +52,6 @@ class VerificationReport:
             "audit": self.audit,
             "caveat": ENUMERATION_CAVEAT,
         }
-
-
-def resolve_workers() -> int:
-    """Worker count for grid sweeps: the CPU count, capped by the
-    RIGIDITY_SIEVE_THREADS environment variable when set."""
-    workers = os.cpu_count() or 1
-    env = os.environ.get("RIGIDITY_SIEVE_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"RIGIDITY_SIEVE_THREADS must be a positive integer, got {env!r}")
-        if cap < 1:
-            raise ValueError(f"RIGIDITY_SIEVE_THREADS must be a positive integer, got {env!r}")
-        workers = min(workers, cap)
-    return workers
-
-
-def map_degree_chunks(fn, d_max: int, *args) -> list:
-    """[fn((d_lo, d_hi, *args)), ...] over degree chunks covering
-    1..d_max, in degree order.  With more than one worker and
-    d_max >= 128 the chunks have equal width and run on a process pool;
-    otherwise one chunk runs in this process."""
-    workers = resolve_workers()
-    if workers > 1 and d_max >= 128:
-        step = max(16, d_max // (4 * workers))
-        chunks = [(lo, min(lo + step - 1, d_max), *args) for lo in range(1, d_max + 1, step)]
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, chunks)
-    return [fn((1, d_max, *args))]
 
 
 def verify_spot_values(grid_max: int = 50) -> VerificationReport:
@@ -162,27 +130,6 @@ def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
     return report
 
 
-def _thm41_chunk(args: tuple) -> tuple:
-    d_lo, d_hi, r, honor_exception = args
-    checked = 0
-    violations = []
-    for d in range(d_lo, d_hi + 1):
-        genera = sieve.range_genera(d, r, honor_exception=honor_exception)
-        checked += len(genera)
-        if not genera:
-            continue
-        for g in sieve.witnesses_by_genus(d, r, genera[-1]):
-            if g in genera:
-                violations.append(
-                    {
-                        "d": d,
-                        "g": g,
-                        "witnesses": [w.to_dict() for w in sieve.scan(d, g, r).witnesses],
-                    }
-                )
-    return checked, violations
-
-
 def check_thm41_args(r: int, d_max: int) -> None:
     """Raise ValueError unless verify_thm41 accepts these bounds."""
     if r < 4:
@@ -208,9 +155,20 @@ def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> Verificati
             "exception_honored": honor_exception,
         },
     )
-    for checked, violations in map_degree_chunks(_thm41_chunk, d_max, r, honor_exception):
-        report.checked += checked
-        report.violations.extend(violations)
+    for d in range(1, d_max + 1):
+        genera = sieve.range_genera(d, r, honor_exception=honor_exception)
+        report.checked += len(genera)
+        if not genera:
+            continue
+        for g in sieve.witnesses_by_genus(d, r, genera[-1]):
+            if g in genera:
+                report.violations.append(
+                    {
+                        "d": d,
+                        "g": g,
+                        "witnesses": [w.to_dict() for w in sieve.scan(d, g, r).witnesses],
+                    }
+                )
     return report
 
 

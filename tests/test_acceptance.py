@@ -211,7 +211,6 @@ def test_criterion_09_split_certificates():
 
 
 def test_criterion_10_falsifiability(monkeypatch):
-    monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
     with monkeypatch.context() as m:
         m.setattr(bounds, "castelnuovo_profile", pi1_off_by_one)
         spots_tripped = not verify.verify_spot_values().ok

@@ -335,17 +335,6 @@ class TestSweep:
     def test_rows_match_per_point_scan(self, r, g_max, in_range_only):
         assert cli.run_sweep(r, 60, g_max, in_range_only) == naive_sweep_rows(r, 60, g_max, in_range_only)
 
-    def test_pool_path_matches_serial(self, capsys, monkeypatch):
-        args = ("sweep", "--r", "9", "--d-max", "130")
-        monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        code, pooled, _ = run(capsys, *args)
-        assert code == 0
-        monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
-        code, serial, _ = run(capsys, *args)
-        assert code == 0
-        assert pooled == serial
-
 
 def naive_sweep_rows(r, d_max, g_max, in_range_only):
     """The r >= 4 sweep rows from one scan per (d, g)."""
@@ -442,19 +431,27 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
-    def test_output_is_the_same_at_one_and_two_workers(self, capsys, monkeypatch):
+    def test_no_exception_json_lists_the_r9_exception(self, capsys):
         argv = ("verify", "thm41", "--r", "9", "--d-max", "200", "--no-exception", "--format", "json")
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        outputs = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", workers)
-            code, out, _ = run(capsys, *argv)
-            assert code == 1
-            payload = json.loads(out)
-            payload.pop("metadata")
-            outputs[workers] = json.dumps(payload, indent=2).encode()
-        assert outputs["1"] == outputs["2"]
-        assert [(v["d"], v["g"]) for v in json.loads(outputs["1"])["reports"][0]["violations"]] == [(30, 34)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        violations = json.loads(out)["reports"][0]["violations"]
+        assert [(v["d"], v["g"]) for v in violations] == [(30, 34)]
+
+
+class TestSingleProcess:
+    def test_import_leaves_multiprocessing_out(self):
+        # Every command runs in one process; importing the pool machinery
+        # would cost start-up time and memory on every run.
+        probe = "import sys, rigidity_sieve.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "False\n"
 
 
 class TestSplit:
@@ -489,11 +486,3 @@ class TestSplit:
         code, _, err = run(capsys, "split", "--a", "-1", "--b", "3", "--e", "1")
         assert code == 2
         assert "error:" in err
-
-
-class TestThreadEnvironment:
-    def test_bad_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "zero")
-        code, _, err = run(capsys, "sweep", "--r", "4", "--d-max", "5")
-        assert code == 2
-        assert "RIGIDITY_SIEVE_THREADS" in err

@@ -1,13 +1,13 @@
 """Tests for the brute-force verification sweeps.
 
 The mutation tests corrupt the genus-cap profile via monkeypatching and
-assert the sweeps detect the corruption; they force single-worker mode so
-the patched function is the one the sweep actually calls.
+assert the sweeps detect the corruption; every sweep runs in this
+process, so the patched function is the one the sweep actually calls.
 """
 
 import pytest
 
-from rigidity_sieve import bounds, sieve, verify
+from rigidity_sieve import bounds, cli, sieve, verify
 from rigidity_sieve.sieve import SieveCase
 
 REAL_PROFILE = bounds.castelnuovo_profile
@@ -130,11 +130,6 @@ def report_parts(report):
     return report.checked, report.violations, report.audit
 
 
-@pytest.fixture
-def serial(monkeypatch):
-    monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
-
-
 class TestReportShape:
     def test_ok_tracks_violations(self):
         rep = verify.VerificationReport("x", {})
@@ -158,22 +153,6 @@ class TestReportShape:
             "audit",
             "caveat",
         }
-
-
-class TestResolveWorkers:
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
-        assert verify.resolve_workers() == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", bad)
-            with pytest.raises(ValueError):
-                verify.resolve_workers()
-
-    def test_unset_env_gives_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
-        assert verify.resolve_workers() >= 1
 
 
 class TestSpotValues:
@@ -213,12 +192,12 @@ class TestCase34Never:
 
 
 class TestThm41:
-    def test_clean_pass_midsize(self, serial):
+    def test_clean_pass_midsize(self):
         rep = verify.verify_thm41(9, 120)
         assert rep.ok
         assert rep.checked > 0
 
-    def test_exception_surfaces_when_disabled(self, serial):
+    def test_exception_surfaces_when_disabled(self):
         rep = verify.verify_thm41(9, 60, honor_exception=False)
         assert not rep.ok
         assert [(v["d"], v["g"]) for v in rep.violations] == [(30, 34)]
@@ -226,19 +205,10 @@ class TestThm41:
         assert len(wit) == 1
         assert (wit[0]["alpha"], wit[0]["case"], wit[0]["slack"]) == (9, "case2", 1)
 
-    def test_deterministic(self, serial):
+    def test_deterministic(self):
         a = verify.verify_thm41(6, 90).to_dict()
         b = verify.verify_thm41(6, 90).to_dict()
         assert a == b
-
-    def test_pool_path_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("RIGIDITY_SIEVE_THREADS", raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        pooled = verify.verify_thm41(9, 140, honor_exception=False)
-        monkeypatch.setenv("RIGIDITY_SIEVE_THREADS", "1")
-        serial_rep = verify.verify_thm41(9, 140, honor_exception=False)
-        assert pooled.checked == serial_rep.checked
-        assert pooled.violations == serial_rep.violations
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
@@ -334,28 +304,37 @@ class TestSplits:
 
 
 class TestMutationDetection:
-    def test_pi1_off_by_one_trips_spot_suite(self, serial, monkeypatch):
+    def test_pi1_off_by_one_trips_spot_suite(self, monkeypatch):
         monkeypatch.setattr(bounds, "castelnuovo_profile", pi1_off_by_one)
         rep = verify.verify_spot_values()
         assert not rep.ok
         assert any(v["check"] == "pi1(8,3)" for v in rep.violations)
 
-    def test_pi1_off_by_one_trips_range_sweep(self, serial, monkeypatch):
+    def test_pi1_off_by_one_trips_range_sweep(self, monkeypatch):
         monkeypatch.setattr(bounds, "castelnuovo_profile", pi1_off_by_one)
         rep = verify.verify_thm41(7, 40)
         assert not rep.ok
         assert (25, 34) in [(v["d"], v["g"]) for v in rep.violations]
 
-    def test_dropped_mu2_case_trips_range_sweep(self, serial, monkeypatch):
+    def test_dropped_mu2_case_trips_range_sweep(self, monkeypatch):
         monkeypatch.setattr(bounds, "castelnuovo_profile", drop_mu2_case)
         rep = verify.verify_thm41(5, 50)
         assert not rep.ok
         assert (46, 101) in [(v["d"], v["g"]) for v in rep.violations]
 
-    def test_clean_reruns_after_mutation(self, serial):
+    def test_clean_reruns_after_mutation(self):
         # The fixtures must not leak: the same sweeps pass on clean code.
         assert verify.verify_thm41(7, 40).ok
         assert verify.verify_thm41(5, 50).ok
+
+    def test_pi1_off_by_one_reaches_sweep_rows(self, monkeypatch):
+        clean = cli.run_sweep(7, 140)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "castelnuovo_profile", pi1_off_by_one)
+            mutated = cli.run_sweep(7, 140)
+        assert len(mutated) == len(clean)
+        assert mutated != clean
+        assert cli.run_sweep(7, 140) == clean
 
 
 class TestAgainstPerPointOracles:
@@ -363,12 +342,12 @@ class TestAgainstPerPointOracles:
     per-point loop: violations in order, checked and audit."""
 
     @pytest.mark.parametrize("honor", [True, False])
-    def test_thm41(self, serial, honor):
+    def test_thm41(self, honor):
         report = verify.verify_thm41(9, 200, honor_exception=honor)
         assert report_parts(report) == naive_thm41(9, 200, honor)
         assert report.ok == honor
 
-    def test_thm41_under_mutation(self, serial, monkeypatch):
+    def test_thm41_under_mutation(self, monkeypatch):
         monkeypatch.setattr(bounds, "castelnuovo_profile", caps_raised_by_40)
         report = verify.verify_thm41(6, 90)
         assert report.violations
