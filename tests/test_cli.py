@@ -24,11 +24,16 @@ def run(capsys, *argv):
 
 
 def materialised_query_report(d, g, r):
-    """The query report with its verdict held whole, as to_dict() gives it."""
+    """The query report with its verdict held whole, as a dict of its
+    outcome, its witnesses' to_dict() and its reasons."""
     report = cli.build_query_report(d, g, r)
     if "verdict" in report:
         verdict = sieve.r3_sieve(d, g) if r == 3 else sieve.scan(d, g, r)
-        report["verdict"] = verdict.to_dict()
+        report["verdict"] = {
+            "outcome": verdict.outcome,
+            "witnesses": [w.to_dict() for w in verdict.witnesses],
+            "reasons": list(verdict.reasons),
+        }
     return report
 
 
@@ -467,6 +472,13 @@ class TestSplit:
         assert code == 0
         obj = json.loads(out)
         assert obj["certificate"] == {"d1": [1, 0, 1], "d2": [1, 5, 1], "intersection": 4}
+        assert out == (
+            '{\n  "schema": "rigidity-sieve/1",\n  "command": "split",\n'
+            '  "input": {\n    "a": 2,\n    "b": 5,\n    "e": 1\n  },\n'
+            '  "certificate": {\n    "d1": [\n      1,\n      0,\n      1\n    ],\n'
+            '    "d2": [\n      1,\n      5,\n      1\n    ],\n'
+            '    "intersection": 4\n  }\n}\n'
+        )
 
     def test_failed_precondition_exit_one(self, capsys):
         code, out, _ = run(capsys, "split", "--a", "3", "--b", "3", "--e", "1")
@@ -481,6 +493,12 @@ class TestSplit:
         obj = json.loads(out)
         assert obj["certificate"] is None
         assert "diagnostic" in obj
+        assert out == (
+            '{\n  "schema": "rigidity-sieve/1",\n  "command": "split",\n'
+            '  "input": {\n    "a": 3,\n    "b": 2,\n    "e": 1\n  },\n'
+            '  "certificate": null,\n'
+            '  "diagnostic": "no smooth irreducible curve in class DivisorClass(a=3, b=2, e=1)"\n}\n'
+        )
 
     def test_invalid_class_exits_2(self, capsys):
         code, _, err = run(capsys, "split", "--a", "-1", "--b", "3", "--e", "1")

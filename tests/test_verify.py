@@ -228,6 +228,9 @@ class TestDerivedClaims:
         rep = verify.verify_derived_claims(9, 60)
         assert rep.ok
         assert rep.audit["m2_eq_2_pairs"] == [(30, 33), (30, 34)]
+        # (30, 33) is listed only because the audit takes a floor where
+        # the case-2 slack needs a ceiling; scan excludes it.
+        assert not sieve.scan(30, 33, 9).is_survivor
 
     def test_r4_cross_encoding_agrees(self):
         rep = verify.verify_derived_claims(4, 30)
