@@ -235,25 +235,49 @@ def _ineq_holds_at(which: Ineq, r: int, d: int, alpha: int) -> bool:
     return sieve.derived_satisfied(which, value)
 
 
-def _consistent_tuples(which: Ineq, alpha: int, m_max: int):
-    """Yield (m, eps, mu, d) in the division convention of the inequality."""
+def _mus(which: Ineq, alpha: int) -> list:
+    """mu for each eps in the division convention of the inequality:
+    eps in 0..alpha-1 for INEQ7/INEQ9, 0..alpha for INEQ8/INEQ10."""
     if _uses_first_profile(which):
-        for m in range(1, m_max + 1):
-            for eps in range(0, alpha):
-                yield m, eps, (1 if eps == alpha - 1 else 0), m * alpha + eps + 1
-    else:
-        for m in range(1, m_max + 1):
-            for eps in range(0, alpha + 1):
-                mu = 2 if eps == alpha else (1 if eps >= alpha - 2 else 0)
-                yield m, eps, mu, m * (alpha + 1) + eps + 1
+        return [0] * (alpha - 1) + [1]
+    return [0] * (alpha - 2) + [1, 1, 2]
+
+
+def _least_eps(which: Ineq, alpha: int, m: int) -> int:
+    """The least eps whose degree d = m*q + eps + 1 (q the divisor of the
+    convention) meets d >= alpha + 2 and the side condition of the
+    inequality's source case: i = d + 1 - 3*alpha >= 0 for INEQ7/INEQ8,
+    j = d - 3*alpha >= 0 for INEQ9/INEQ10."""
+    q = alpha if _uses_first_profile(which) else alpha + 1
+    side = 3 * alpha - 1 if which in (Ineq.INEQ7, Ineq.INEQ8) else 3 * alpha
+    return max(0, max(alpha + 2, side) - m * q - 1)
+
+
+def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
+    """(base, per_eps, per_mu) such that, on every consistent (eps, mu) at
+    (which, r, alpha, m), derived_slack - floor = base + per_eps*eps +
+    per_mu*mu, where floor is 1 for a strict inequality and 0 otherwise;
+    so the inequality holds exactly when the form is >= 0.
+
+    Each expansion of derived_slack is linear in eps and mu once m is
+    fixed, so three of its values give the form: (0, 0), (1, 0) and the
+    first eps whose mu is 1.  derived_slack and derived_satisfied stay
+    the one encoding of the inequalities and their strictness.
+    """
+    at_zero = sieve.derived_slack(which, r, alpha, m, 0, 0)
+    per_eps = sieve.derived_slack(which, r, alpha, m, 1, 0) - at_zero
+    eps = _mus(which, alpha).index(1)
+    per_mu = sieve.derived_slack(which, r, alpha, m, eps, 1) - at_zero - per_eps * eps
+    floor = 0 if sieve.derived_satisfied(which, 0) else 1
+    return at_zero - floor, per_eps, per_mu
 
 
 def check_derived_args(r: int, alpha_max: int) -> None:
     """Raise ValueError unless verify_derived_claims accepts these bounds."""
     if not 4 <= r <= 10:
         raise ValueError(f"need 4 <= r <= 10, got {r}")
-    if alpha_max < 8:
-        raise ValueError(f"need alpha_max >= 8, got {alpha_max}")
+    if alpha_max < max(8, r):
+        raise ValueError(f"need alpha_max >= max(8, r) = {max(8, r)}, got {alpha_max}")
 
 
 def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> VerificationReport:
@@ -265,7 +289,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
     case evaluated at the induced (d, alpha) — the two inequalities of a
     case arise together, and several claimed consequences are sharp only
     in that joint context.  A tuple satisfying all of that but violating
-    the claimed consequence is a violation.
+    the claimed consequence is a violation.  Both inequalities are
+    evaluated through their linear form in (eps, mu), read once per
+    (inequality, alpha, m).
 
     For r = 9 the enumeration additionally rebuilds the set of (d, g)
     with a second-profile denominator of 2 passing the tenth inequality
@@ -281,46 +307,59 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
     )
     tuple_violations = []
     for which, claim, consequence in _DERIVED_CLAIMS[r]:
+        partner = _PARTNER[which]
+        partner_first = _uses_first_profile(partner)
         for alpha in range(alpha_lo, alpha_max + 1):
-            for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
-                if d < alpha + 2:
+            mus = _mus(which, alpha)
+            q = len(mus)
+            partner_forms = {}
+            for m in range(1, m_max + 1):
+                e0 = _least_eps(which, alpha, m)
+                if e0 >= q:
                     continue
-                i = d + 1 - 3 * alpha
-                j = d - 3 * alpha
-                if which in (Ineq.INEQ7, Ineq.INEQ8):
-                    if i < 0:
+                report.checked += q - e0
+                base, per_eps, per_mu = _linear_form(which, r, alpha, m)
+                for eps in range(e0, q):
+                    mu = mus[eps]
+                    if base + per_eps * eps + per_mu * mu < 0:
                         continue
-                elif j < 0:
-                    continue
-                report.checked += 1
-                value = sieve.derived_slack(which, r, alpha, m, eps, mu)
-                if not sieve.derived_satisfied(which, value):
-                    continue
-                if not _ineq_holds_at(_PARTNER[which], r, d, alpha):
-                    continue
-                if not consequence(alpha, m, eps, mu, i, j):
-                    tuple_violations.append(
-                        {
-                            "ineq": which.value,
-                            "claim": claim,
-                            "alpha": alpha,
-                            "m": m,
-                            "eps": eps,
-                            "mu": mu,
-                            "d": d,
-                        }
-                    )
+                    d = m * q + eps + 1
+                    prof = bounds.castelnuovo_profile(d, alpha)
+                    if partner_first:
+                        m_p, eps_p, mu_p = prof.m1, prof.eps1, prof.mu1
+                    else:
+                        m_p, eps_p, mu_p = prof.m2, prof.eps2, prof.mu2
+                    form = partner_forms.get(m_p)
+                    if form is None:
+                        form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
+                    if form[0] + form[1] * eps_p + form[2] * mu_p < 0:
+                        continue
+                    i = d + 1 - 3 * alpha
+                    j = d - 3 * alpha
+                    if not consequence(alpha, m, eps, mu, i, j):
+                        tuple_violations.append(
+                            {
+                                "ineq": which.value,
+                                "claim": claim,
+                                "alpha": alpha,
+                                "m": m,
+                                "eps": eps,
+                                "mu": mu,
+                                "d": d,
+                            }
+                        )
     report.violations.extend(tuple_violations)
 
     if r == 9:
         hits = set()
-        for alpha in range(alpha_lo, alpha_max + 1):
-            for m, eps, mu, d in _consistent_tuples(Ineq.INEQ10, alpha, m_max):
-                if m != 2 or d - 3 * alpha < 0 or d < alpha + 2:
+        # The pairs come from m = 2 alone, so m_max < 2 finds none.
+        for alpha in range(alpha_lo, alpha_max + 1) if m_max >= 2 else ():
+            mus = _mus(Ineq.INEQ10, alpha)
+            base, per_eps, per_mu = _linear_form(Ineq.INEQ10, r, alpha, 2)
+            for eps in range(_least_eps(Ineq.INEQ10, alpha, 2), len(mus)):
+                if base + per_eps * eps + per_mu * mus[eps] < 0:
                     continue
-                value = sieve.derived_slack(Ineq.INEQ10, r, alpha, m, eps, mu)
-                if not sieve.derived_satisfied(Ineq.INEQ10, value):
-                    continue
+                d = 2 * (alpha + 1) + eps + 1
                 prof = bounds.castelnuovo_profile(d, alpha)
                 # A floor, where the case-2 slack >= 0 needs a ceiling.
                 # The floor alone puts (30, 33) in the audit: at alpha = 9

@@ -431,6 +431,20 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derived", "--r", "10", "--alpha-max", "9"),
+            ("derived", "--r", "9", "--alpha-max", "8"),
+            ("all", "--alpha-max", "9"),
+        ],
+    )
+    def test_empty_derived_alpha_range_exits_2(self, capsys, argv):
+        # The derived suite starts at alpha = max(8, r).
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and "error:" in err
+
     def test_empty_r5_window_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")
         assert code == 2

@@ -8,7 +8,7 @@ process, so the patched function is the one the sweep actually calls.
 import pytest
 
 from rigidity_sieve import bounds, cli, sieve, verify
-from rigidity_sieve.sieve import SieveCase
+from rigidity_sieve.sieve import Ineq, SieveCase
 
 REAL_PROFILE = bounds.castelnuovo_profile
 
@@ -124,6 +124,75 @@ def naive_r11(r, d_max):
                 if g in in_range:
                     violations.append({"part": "c", "d": d, "g": g})
     return checked, violations, {"survivors": survivors}
+
+
+# The derived suite's primary loop before it read linear forms: one
+# derived_slack per consistent tuple, and the partner inequality per
+# tuple through the profile.  Returns (checked, violations).
+
+
+def _consistent_tuples(which, alpha, m_max):
+    """Yield (m, eps, mu, d) in the division convention of the inequality."""
+    if verify._uses_first_profile(which):
+        for m in range(1, m_max + 1):
+            for eps in range(0, alpha):
+                yield m, eps, (1 if eps == alpha - 1 else 0), m * alpha + eps + 1
+    else:
+        for m in range(1, m_max + 1):
+            for eps in range(0, alpha + 1):
+                mu = 2 if eps == alpha else (1 if eps >= alpha - 2 else 0)
+                yield m, eps, mu, m * (alpha + 1) + eps + 1
+
+
+def naive_derived_primary(r, alpha_max, m_max):
+    checked, tuple_violations = 0, []
+    for which, claim, consequence in verify._DERIVED_CLAIMS[r]:
+        for alpha in range(max(8, r), alpha_max + 1):
+            for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
+                if d < alpha + 2:
+                    continue
+                i = d + 1 - 3 * alpha
+                j = d - 3 * alpha
+                if which in (Ineq.INEQ7, Ineq.INEQ8):
+                    if i < 0:
+                        continue
+                elif j < 0:
+                    continue
+                checked += 1
+                value = sieve.derived_slack(which, r, alpha, m, eps, mu)
+                if not sieve.derived_satisfied(which, value):
+                    continue
+                if not verify._ineq_holds_at(verify._PARTNER[which], r, d, alpha):
+                    continue
+                if not consequence(alpha, m, eps, mu, i, j):
+                    tuple_violations.append(
+                        {
+                            "ineq": which.value,
+                            "claim": claim,
+                            "alpha": alpha,
+                            "m": m,
+                            "eps": eps,
+                            "mu": mu,
+                            "d": d,
+                        }
+                    )
+    return checked, tuple_violations
+
+
+def primary_parts(report):
+    """checked and the tuple violations, without the r = 9 audit's and
+    the r = 4 cross-assert's entries (those carry a "check" key)."""
+    return report.checked, [v for v in report.violations if "check" not in v]
+
+
+def stricter_claims(r):
+    """The claims of r with each m floor raised by 1: every consequence
+    reads m only through "m >= floor", so evaluating it at m - 1 raises
+    that floor."""
+    return [
+        (which, f"{claim} [m floor + 1]", lambda a, m, e, mu, i, j, c=consequence: c(a, m - 1, e, mu, i, j))
+        for which, claim, consequence in verify._DERIVED_CLAIMS[r]
+    ]
 
 
 def report_parts(report):
@@ -244,6 +313,57 @@ class TestDerivedClaims:
             verify.verify_derived_claims(11, 20)
         with pytest.raises(ValueError):
             verify.verify_derived_claims(5, 7)
+        # The suite starts at alpha = max(8, r): an empty alpha range is
+        # refused, not passed vacuously.
+        with pytest.raises(ValueError):
+            verify.verify_derived_claims(10, 9)
+        with pytest.raises(ValueError):
+            verify.verify_derived_claims(9, 8)
+        assert verify.verify_derived_claims(10, 10).checked > 0
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_primary_loop_matches_naive_oracle(self, r):
+        alpha_lo = max(8, r)
+        for alpha_max, m_max in ((alpha_lo, 1), (alpha_lo + 1, 2), (15, 3), (24, 20), (30, 25)):
+            report = verify.verify_derived_claims(r, alpha_max, m_max)
+            assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max)
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_reports_violations_of_stricter_claims(self, monkeypatch, r):
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r))
+        report = verify.verify_derived_claims(r, 30)
+        checked, violations = primary_parts(report)
+        assert violations
+        assert (checked, violations) == naive_derived_primary(r, 30, 20)
+        if r == 4:
+            assert report.audit["cross_encoding_violations"] > 0
+            assert not [v for v in report.violations if v.get("check") == "encoding cross-assert"]
+
+    @pytest.mark.parametrize("r", (5, 6, 7, 10))
+    def test_partner_check_reads_the_patched_profile(self, monkeypatch, r):
+        # The partner inequality is evaluated at the profile of (d, alpha);
+        # a corrupted mu2 must reach it, so the violations change.
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r))
+        _, clean = primary_parts(verify.verify_derived_claims(r, 30))
+        monkeypatch.setattr(bounds, "castelnuovo_profile", drop_mu2_case)
+        _, corrupted = primary_parts(verify.verify_derived_claims(r, 30))
+        assert corrupted != clean
+
+    def test_linear_form_premise(self):
+        # For fixed (inequality, r, alpha, m) every derived_slack expansion
+        # is linear in (eps, mu); the form read off three of its values
+        # must give derived_slack - floor on every consistent tuple.
+        for which in Ineq:
+            for r in range(4, 11):
+                for alpha in range(8, 41):
+                    for m in range(1, 26):
+                        base, per_eps, per_mu = verify._linear_form(which, r, alpha, m)
+                        for _, eps, mu, _ in _consistent_tuples(which, alpha, 1):
+                            value = sieve.derived_slack(which, r, alpha, m, eps, mu)
+                            form = base + per_eps * eps + per_mu * mu
+                            floor = 0 if sieve.derived_satisfied(which, 0) else 1
+                            assert form == value - floor
+                            assert (form >= 0) == sieve.derived_satisfied(which, value)
 
 
 class TestHighR:
