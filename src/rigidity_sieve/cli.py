@@ -179,13 +179,18 @@ def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False
 
     For r >= 4 the genus range is 1..g_max (default 2d) per degree, or
     the in-range genera when filtering to the hypothesis range; for
-    r = 3 it is the reduced grid sieve.r3_genera.
+    r = 3 it is the reduced grid sieve.r3_genera, which starts at g >= d,
+    so no degree above g_max is walked.  The r = 3 chain reads no g on
+    that grid (see verify.verify_thm_r3): one verdict serves each degree.
     """
     rows = []
+    if r == 3 and g_max is not None:
+        d_max = min(d_max, g_max)
     for d in range(1, d_max + 1):
         if r == 3:
             in_range = None
             genera = sieve.r3_genera(d)
+            alphas = [w.alpha for w in sieve.r3_sieve(d, genera[0]).witnesses] if genera else []
         else:
             in_range = sieve.range_genera(d, r)
             genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
@@ -195,22 +200,11 @@ def run_sweep(r: int, d_max: int, g_max: int = None, in_range_only: bool = False
             if g_max is not None and g > g_max:
                 break
             if r == 3:
-                alpha_list = [w.alpha for w in sieve.r3_sieve(d, g).witnesses]
+                alpha_list = list(alphas)
             else:
                 alpha_list = [alpha for alpha, _ in witnesses.get(g, ())]
             rows.append(_sweep_row(d, g, r, alpha_list, in_range))
     return rows
-
-
-def _r3_grid_is_empty(d_max: int, g_max) -> bool:
-    """Whether no degree d <= d_max has an r = 3 grid point g <= g_max.
-    r3_genera(d) starts at g >= d, so degrees above g_max add none and
-    the scan stays bounded."""
-    d_hi = d_max if g_max is None else min(d_max, g_max)
-    return not any(
-        genera and (g_max is None or genera[0] <= g_max)
-        for genera in map(sieve.r3_genera, range(1, d_hi + 1))
-    )
 
 
 CSV_COLUMNS = ["d", "g", "r", "verdict", "witnesses", "alpha_list", "range_thm41"]
@@ -242,10 +236,10 @@ def render_sweep_csv(rows: list) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.r == 3 and args.in_range_only:
         raise ValueError("--in-range-only requires r >= 4")
-    if args.r == 3 and _r3_grid_is_empty(args.d_max, args.g_max):
-        raise ValueError("the r = 3 reduced grid is empty within --d-max and --g-max")
     started = time.monotonic()
     rows = run_sweep(args.r, args.d_max, args.g_max, args.in_range_only)
+    if args.r == 3 and not rows:
+        raise ValueError("the r = 3 reduced grid is empty within --d-max and --g-max")
     if args.format == "csv":
         sys.stdout.write(render_sweep_csv(rows))
     else:

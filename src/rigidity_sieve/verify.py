@@ -225,16 +225,6 @@ def _uses_first_profile(which: Ineq) -> bool:
     return which in (Ineq.INEQ7, Ineq.INEQ9)
 
 
-def _ineq_holds_at(which: Ineq, r: int, d: int, alpha: int) -> bool:
-    """Evaluate a derived inequality at the profile induced by (d, alpha)."""
-    prof = bounds.castelnuovo_profile(d, alpha)
-    if _uses_first_profile(which):
-        value = sieve.derived_slack(which, r, alpha, prof.m1, prof.eps1, prof.mu1)
-    else:
-        value = sieve.derived_slack(which, r, alpha, prof.m2, prof.eps2, prof.mu2)
-    return sieve.derived_satisfied(which, value)
-
-
 def _mus(which: Ineq, alpha: int) -> list:
     """mu for each eps in the division convention of the inequality:
     eps in 0..alpha-1 for INEQ7/INEQ9, 0..alpha for INEQ8/INEQ10."""
@@ -384,22 +374,25 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
                 i = d + 1 - 3 * alpha
                 j = d - 3 * alpha
                 prof = bounds.castelnuovo_profile(d, alpha)
+                first = (prof.m1, prof.eps1, prof.mu1)
+                second = (prof.m2, prof.eps2, prof.mu2)
+                # Each inequality is evaluated at most once per (alpha, d),
+                # and only when a claim reaches it.
+                holds = {}
                 for which, claim, consequence in _DERIVED_CLAIMS[r]:
-                    if which in (Ineq.INEQ7, Ineq.INEQ8):
-                        if i < 0:
-                            continue
-                    elif j < 0:
+                    if (i if which in (Ineq.INEQ7, Ineq.INEQ8) else j) < 0:
                         continue
-                    if not _ineq_holds_at(which, r, d, alpha):
-                        continue
-                    if not _ineq_holds_at(_PARTNER[which], r, d, alpha):
-                        continue
-                    if _uses_first_profile(which):
-                        m, eps, mu = prof.m1, prof.eps1, prof.mu1
+                    for ineq in (which, _PARTNER[which]):
+                        if ineq not in holds:
+                            m, eps, mu = first if _uses_first_profile(ineq) else second
+                            value = sieve.derived_slack(ineq, r, alpha, m, eps, mu)
+                            holds[ineq] = sieve.derived_satisfied(ineq, value)
+                        if not holds[ineq]:
+                            break
                     else:
-                        m, eps, mu = prof.m2, prof.eps2, prof.mu2
-                    if not consequence(alpha, m, eps, mu, i, j):
-                        cross.append({"ineq": which.value, "claim": claim, "d": d, "alpha": alpha})
+                        m, eps, mu = first if _uses_first_profile(which) else second
+                        if not consequence(alpha, m, eps, mu, i, j):
+                            cross.append({"ineq": which.value, "claim": claim, "d": d, "alpha": alpha})
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
@@ -602,14 +595,18 @@ def verify_thm_r3(d_max: int) -> VerificationReport:
     report = VerificationReport("r3", {"d_max": d_max, "g": "max(d,5)..pi(d,3)"})
     survivors = []
     for d in range(3, d_max + 1):
-        for g in sieve.r3_genera(d):
-            report.checked += 1
-            if sieve.r3_sieve(d, g).is_survivor:
-                survivors.append((d, g))
-                if d >= 10:
-                    report.violations.append({"part": "a", "d": d, "g": g})
-                elif (d, g) not in _R3_ALLOWED:
-                    report.violations.append({"part": "b", "d": d, "g": g})
+        genera = sieve.r3_genera(d)
+        report.checked += len(genera)
+        # The grid has d <= g, where agh_cap is d - 3*alpha + 1 and reads
+        # no g: the chain gives every g of a degree the same verdict.
+        if not genera or not sieve.r3_sieve(d, genera[0]).is_survivor:
+            continue
+        for g in genera:
+            survivors.append((d, g))
+            if d >= 10:
+                report.violations.append({"part": "a", "d": d, "g": g})
+            elif (d, g) not in _R3_ALLOWED:
+                report.violations.append({"part": "b", "d": d, "g": g})
     report.audit["survivors"] = survivors
     for d, g, want in _R3_EXPECTED:
         report.checked += 1

@@ -335,23 +335,46 @@ class TestSweep:
         assert code == 0
         assert b"Traceback" not in stderr
 
-    @pytest.mark.parametrize("r", [4, 9, 20])
-    @pytest.mark.parametrize("g_max,in_range_only", [(None, False), (150, False), (None, True), (40, True)])
+    @pytest.mark.parametrize(
+        "g_max,in_range_only,r",
+        [
+            (g_max, in_range_only, r)
+            for r in (4, 9, 20)
+            for g_max, in_range_only in ((None, False), (150, False), (None, True), (40, True))
+        ]
+        + [(g_max, False, 3) for g_max in (None, 8, 30)],
+    )
     def test_rows_match_per_point_scan(self, r, g_max, in_range_only):
         assert cli.run_sweep(r, 60, g_max, in_range_only) == naive_sweep_rows(r, 60, g_max, in_range_only)
 
+    def test_r3_sweep_walks_only_degrees_up_to_g_max(self):
+        # r3_genera(d) starts at g >= d, so a g_max of 10 bounds the
+        # degrees, however large --d-max is.
+        argv = [sys.executable, "-m", "rigidity_sieve.cli", "sweep", "--r", "3", "--g-max", "10", "--d-max"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        huge = subprocess.run([*argv, str(2**63 - 1)], env=env, capture_output=True, timeout=10)
+        small = subprocess.run([*argv, "10"], env=env, capture_output=True, timeout=10)
+        assert huge.returncode == 0
+        assert huge.stdout == small.stdout
+        assert huge.stdout.count(b"\n") == 1 + 5
+
 
 def naive_sweep_rows(r, d_max, g_max, in_range_only):
-    """The r >= 4 sweep rows from one scan per (d, g)."""
+    """The sweep rows from one scan (r >= 4) or one r3_sieve (r = 3)
+    per (d, g)."""
     labels = {sieve.SURVIVORS: "survivor", sieve.EXCLUDED: "excluded", sieve.OUT_OF_SCOPE: "out-of-scope"}
     rows = []
     for d in range(1, d_max + 1):
-        in_range = sieve.range_genera(d, r)
-        genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
+        if r == 3:
+            in_range = None
+            genera = sieve.r3_genera(d)
+        else:
+            in_range = sieve.range_genera(d, r)
+            genera = in_range if in_range_only else range(1, (g_max or 2 * d) + 1)
         for g in genera:
             if g_max is not None and g > g_max:
                 break
-            verdict = sieve.scan(d, g, r)
+            verdict = sieve.r3_sieve(d, g) if r == 3 else sieve.scan(d, g, r)
             rows.append(
                 {
                     "d": d,
@@ -360,7 +383,7 @@ def naive_sweep_rows(r, d_max, g_max, in_range_only):
                     "verdict": labels[verdict.outcome],
                     "witnesses": len(verdict.witnesses),
                     "alpha_list": [w.alpha for w in verdict.witnesses],
-                    "range_thm41": g in in_range,
+                    "range_thm41": None if in_range is None else g in in_range,
                 }
             )
     return rows

@@ -126,6 +126,29 @@ def naive_r11(r, d_max):
     return checked, violations, {"survivors": survivors}
 
 
+def naive_thm_r3(d_max):
+    """Parts (a) and (b) of verify_thm_r3 from one r3_sieve per (d, g)."""
+    checked, violations, survivors = 0, [], []
+    for d in range(3, d_max + 1):
+        for g in sieve.r3_genera(d):
+            checked += 1
+            if sieve.r3_sieve(d, g).is_survivor:
+                survivors.append((d, g))
+                if d >= 10:
+                    violations.append({"part": "a", "d": d, "g": g})
+                elif (d, g) not in verify._R3_ALLOWED:
+                    violations.append({"part": "b", "d": d, "g": g})
+    return checked, violations, {"survivors": survivors}
+
+
+def thm_r3_grid_parts(report):
+    """checked, violations and audit of verify_thm_r3's grid parts (a)
+    and (b): the table parts (c) and (d) add len(_R3_EXPECTED) + 1
+    checks."""
+    checked = report.checked - len(verify._R3_EXPECTED) - 1
+    return checked, [v for v in report.violations if v["part"] in ("a", "b")], report.audit
+
+
 # The derived suite's primary loop before it read linear forms: one
 # derived_slack per consistent tuple, and the partner inequality per
 # tuple through the profile.  Returns (checked, violations).
@@ -142,6 +165,16 @@ def _consistent_tuples(which, alpha, m_max):
             for eps in range(0, alpha + 1):
                 mu = 2 if eps == alpha else (1 if eps >= alpha - 2 else 0)
                 yield m, eps, mu, m * (alpha + 1) + eps + 1
+
+
+def naive_ineq_holds_at(which, r, d, alpha):
+    """Evaluate a derived inequality at the profile induced by (d, alpha)."""
+    prof = bounds.castelnuovo_profile(d, alpha)
+    if verify._uses_first_profile(which):
+        value = sieve.derived_slack(which, r, alpha, prof.m1, prof.eps1, prof.mu1)
+    else:
+        value = sieve.derived_slack(which, r, alpha, prof.m2, prof.eps2, prof.mu2)
+    return sieve.derived_satisfied(which, value)
 
 
 def naive_derived_primary(r, alpha_max, m_max):
@@ -162,7 +195,7 @@ def naive_derived_primary(r, alpha_max, m_max):
                 value = sieve.derived_slack(which, r, alpha, m, eps, mu)
                 if not sieve.derived_satisfied(which, value):
                     continue
-                if not verify._ineq_holds_at(verify._PARTNER[which], r, d, alpha):
+                if not naive_ineq_holds_at(verify._PARTNER[which], r, d, alpha):
                     continue
                 if not consequence(alpha, m, eps, mu, i, j):
                     tuple_violations.append(
@@ -503,3 +536,30 @@ class TestAgainstPerPointOracles:
         if mutation is caps_raised_by_40:
             assert parts == {"a", "b", "c"}
         assert report_parts(verify.verify_r_ge_11(r, 80)) == (checked, violations, audit)
+
+    @pytest.mark.parametrize("d_max", [10, 60, 200])
+    def test_thm_r3(self, d_max):
+        report = verify.verify_thm_r3(d_max)
+        assert report.ok
+        assert thm_r3_grid_parts(report) == naive_thm_r3(d_max)
+
+    def test_thm_r3_reports_parts_a_and_b(self, monkeypatch):
+        # A chain that lets two degrees >= 10 survive (still blind to g)
+        # gives part (a), and an empty allowed set turns the known six
+        # into part (b).
+        real_chain = sieve.r3_sieve
+        survivor = sieve.Verdict.survivors([sieve.R3Witness(3, "dim-w-0", 0)])
+        monkeypatch.setattr(sieve, "r3_sieve", lambda d, g: survivor if d in (12, 40) else real_chain(d, g))
+        monkeypatch.setattr(verify, "_R3_ALLOWED", set())
+        report = verify.verify_thm_r3(60)
+        checked, violations, audit = naive_thm_r3(60)
+        assert {v["part"] for v in violations} == {"a", "b"}
+        assert thm_r3_grid_parts(report) == (checked, violations, audit)
+
+    def test_r3_chain_reads_no_genus_on_the_grid(self):
+        # verify_thm_r3 and the r = 3 sweep take one verdict per degree.
+        for d in range(3, 201):
+            genera = sieve.r3_genera(d)
+            if genera:
+                first = sieve.r3_sieve(d, genera[0])
+                assert all(sieve.r3_sieve(d, g) == first for g in genera), d
