@@ -43,12 +43,31 @@ class SieveCase(enum.Enum):
 
 class Ineq(enum.Enum):
     """The four derived inequalities obtained by substituting the genus
-    caps into the case systems (7/9 via pi1, 8/10 via pi2)."""
+    caps into the case systems (7/9 via pi1, 8/10 via pi2).  first: 7/9
+    read the first profile (m1, eps1, mu1; divisor alpha) and are strict,
+    8/10 the second (divisor alpha + 1) and are not.  on_i: 7/8 read the
+    side variable i, 9/10 j.  partner: 7 with 8, 9 with 10 (same case)."""
 
     INEQ7 = "ineq7"
     INEQ8 = "ineq8"
     INEQ9 = "ineq9"
     INEQ10 = "ineq10"
+
+    def __init__(self, value: str) -> None:
+        number = int(value[4:])
+        self.first = number % 2 == 1
+        self.on_i = number <= 8
+        self._partner_value = f"ineq{number + 1 if self.first else number - 1}"
+
+    @property
+    def partner(self) -> "Ineq":
+        return Ineq(self._partner_value)
+
+    def division(self, profile: CastelnuovoProfile) -> tuple[int, int, int]:
+        """(m, eps, mu) of the profile in this inequality's convention."""
+        if self.first:
+            return profile.m1, profile.eps1, profile.mu1
+        return profile.m2, profile.eps2, profile.mu2
 
 
 NON_SPECIAL = "non-special"
@@ -401,7 +420,7 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
         raise ValueError(f"need alpha >= 8, got {alpha}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if which in (Ineq.INEQ7, Ineq.INEQ9):
+    if which.first:
         if not 0 <= eps <= alpha - 1:
             raise ValueError(f"eps={eps} out of range for alpha={alpha}")
         if mu != (1 if eps == alpha - 1 else 0):
@@ -446,10 +465,8 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
 
 
 def derived_satisfied(which: Ineq, value: int) -> bool:
-    """Strict positivity for INEQ7/INEQ9, non-negativity for INEQ8/INEQ10."""
-    if which in (Ineq.INEQ7, Ineq.INEQ9):
-        return value > 0
-    return value >= 0
+    """Strict positivity for INEQ7/INEQ9 (which.first), else non-negativity."""
+    return value > 0 if which.first else value >= 0
 
 
 # The hypothesis range of the r >= 4 theorem: r -> an OR of ANDs of

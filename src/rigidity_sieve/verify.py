@@ -173,74 +173,63 @@ def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> Verificati
 
 
 # The per-r consequences claimed for each derived inequality.  Each entry
-# maps the inequality to a human-readable claim and a predicate on
-# (alpha, m, eps, mu, i, j).
+# (which, K, c, op, a, b) claims "m >= K and c*v op a*alpha + b", where m
+# is the inequality's own quotient (m1 or m2, by which.first) and v its
+# source case's side variable (i or j, by which.on_i; see _side).
 _DERIVED_CLAIMS: dict[int, list] = {
-    4: [
-        (Ineq.INEQ7, "m1 >= 9 and i >= 7a+1", lambda a, m, e, mu, i, j: m >= 9 and i >= 7 * a + 1),
-        (Ineq.INEQ9, "m1 >= 8 and 2j >= 11a-2", lambda a, m, e, mu, i, j: m >= 8 and 2 * j >= 11 * a - 2),
-        (Ineq.INEQ10, "m2 >= 8 and 2j >= 11a+12", lambda a, m, e, mu, i, j: m >= 8 and 2 * j >= 11 * a + 12),
-    ],
+    4: [(Ineq.INEQ7, 9, 1, ">=", 7, 1), (Ineq.INEQ9, 8, 2, ">=", 11, -2), (Ineq.INEQ10, 8, 2, ">=", 11, 12)],
     5: [
-        (Ineq.INEQ7, "m1 >= 5 and i > 3a+1", lambda a, m, e, mu, i, j: m >= 5 and i > 3 * a + 1),
-        (Ineq.INEQ8, "m2 >= 5 and i >= 3a+5", lambda a, m, e, mu, i, j: m >= 5 and i >= 3 * a + 5),
-        (Ineq.INEQ9, "m1 >= 5 and 5j >= 12a-4", lambda a, m, e, mu, i, j: m >= 5 and 5 * j >= 12 * a - 4),
-        (Ineq.INEQ10, "m2 >= 5 and 5j >= 12a+16", lambda a, m, e, mu, i, j: m >= 5 and 5 * j >= 12 * a + 16),
+        (Ineq.INEQ7, 5, 1, ">", 3, 1), (Ineq.INEQ8, 5, 1, ">=", 3, 5),
+        (Ineq.INEQ9, 5, 5, ">=", 12, -4), (Ineq.INEQ10, 5, 5, ">=", 12, 16),
     ],
     6: [
-        (Ineq.INEQ7, "m1 >= 4 and 5i > 8a+2", lambda a, m, e, mu, i, j: m >= 4 and 5 * i > 8 * a + 2),
-        (Ineq.INEQ8, "m2 >= 4 and 5i >= 8a+20", lambda a, m, e, mu, i, j: m >= 4 and 5 * i >= 8 * a + 20),
-        (Ineq.INEQ9, "m1 >= 4 and 3j > 4a-2", lambda a, m, e, mu, i, j: m >= 4 and 3 * j > 4 * a - 2),
-        (Ineq.INEQ10, "m2 >= 4 and 3j >= 4a+7", lambda a, m, e, mu, i, j: m >= 4 and 3 * j >= 4 * a + 7),
+        (Ineq.INEQ7, 4, 5, ">", 8, 2), (Ineq.INEQ8, 4, 5, ">=", 8, 20),
+        (Ineq.INEQ9, 4, 3, ">", 4, -2), (Ineq.INEQ10, 4, 3, ">=", 4, 7),
     ],
-    7: [
-        (Ineq.INEQ7, "m1 >= 3 and i >= a+1", lambda a, m, e, mu, i, j: m >= 3 and i >= a + 1),
-        (Ineq.INEQ9, "m1 >= 3 and 5j > 4a-4", lambda a, m, e, mu, i, j: m >= 3 and 5 * j > 4 * a - 4),
-        (Ineq.INEQ10, "m2 >= 3 and 5j >= 4a+1", lambda a, m, e, mu, i, j: m >= 3 and 5 * j >= 4 * a + 1),
-    ],
-    8: [
-        (Ineq.INEQ8, "m2 >= 3 and 2i >= a+6", lambda a, m, e, mu, i, j: m >= 3 and 2 * i >= a + 6),
-        (Ineq.INEQ10, "m2 >= 3 and 7j >= 3a+11", lambda a, m, e, mu, i, j: m >= 3 and 7 * j >= 3 * a + 11),
-    ],
-    9: [
-        (Ineq.INEQ8, "m2 >= 3 and 8i >= 2a+23", lambda a, m, e, mu, i, j: m >= 3 and 8 * i >= 2 * a + 23),
-        (Ineq.INEQ10, "m2 >= 2 and j >= 3", lambda a, m, e, mu, i, j: m >= 2 and j >= 3),
-    ],
-    10: [
-        (Ineq.INEQ8, "m2 >= 2 and i >= 4", lambda a, m, e, mu, i, j: m >= 2 and i >= 4),
-        (Ineq.INEQ9, "m1 >= 3 and 11j > a-4", lambda a, m, e, mu, i, j: m >= 3 and 11 * j > a - 4),
-        (Ineq.INEQ10, "m2 >= 2 and j >= 2", lambda a, m, e, mu, i, j: m >= 2 and j >= 2),
-    ],
-}
-
-_PARTNER = {
-    Ineq.INEQ7: Ineq.INEQ8,
-    Ineq.INEQ8: Ineq.INEQ7,
-    Ineq.INEQ9: Ineq.INEQ10,
-    Ineq.INEQ10: Ineq.INEQ9,
+    7: [(Ineq.INEQ7, 3, 1, ">=", 1, 1), (Ineq.INEQ9, 3, 5, ">", 4, -4), (Ineq.INEQ10, 3, 5, ">=", 4, 1)],
+    8: [(Ineq.INEQ8, 3, 2, ">=", 1, 6), (Ineq.INEQ10, 3, 7, ">=", 3, 11)],
+    9: [(Ineq.INEQ8, 3, 8, ">=", 2, 23), (Ineq.INEQ10, 2, 1, ">=", 0, 3)],
+    10: [(Ineq.INEQ8, 2, 1, ">=", 0, 4), (Ineq.INEQ9, 3, 11, ">", 1, -4), (Ineq.INEQ10, 2, 1, ">=", 0, 2)],
 }
 
 
-def _uses_first_profile(which: Ineq) -> bool:
-    return which in (Ineq.INEQ7, Ineq.INEQ9)
+def _side(which: Ineq, alpha: int, d: int) -> int:
+    """The side variable of the inequality's source case, which must be
+    >= 0: i = d + 1 - 3*alpha for INEQ7/INEQ8, else j = d - 3*alpha."""
+    return d + 1 - 3 * alpha if which.on_i else d - 3 * alpha
+
+
+def _claim_text(claim: tuple) -> str:
+    """The claim as reports print it, e.g. "m1 >= 8 and 2j >= 11a-2"."""
+    which, k, c, op, a, b = claim
+    v = "i" if which.on_i else "j"
+    lhs = v if c == 1 else f"{c}{v}"
+    rhs = str(b) if a == 0 else f"{'' if a == 1 else a}a{b:+d}"
+    return f"{'m1' if which.first else 'm2'} >= {k} and {lhs} {op} {rhs}"
+
+
+def _claim_holds(claim: tuple, alpha: int, m: int, d: int) -> bool:
+    """Whether the claim holds at (alpha, d), m being the quotient of d
+    in the convention of the claim's inequality."""
+    which, k, c, op, a, b = claim
+    over = c * _side(which, alpha, d) - a * alpha - b
+    return m >= k and (over > 0 if op == ">" else over >= 0)
 
 
 def _mus(which: Ineq, alpha: int) -> list:
     """mu for each eps in the division convention of the inequality:
     eps in 0..alpha-1 for INEQ7/INEQ9, 0..alpha for INEQ8/INEQ10."""
-    if _uses_first_profile(which):
+    if which.first:
         return [0] * (alpha - 1) + [1]
     return [0] * (alpha - 2) + [1, 1, 2]
 
 
 def _least_eps(which: Ineq, alpha: int, m: int) -> int:
     """The least eps whose degree d = m*q + eps + 1 (q the divisor of the
-    convention) meets d >= alpha + 2 and the side condition of the
-    inequality's source case: i = d + 1 - 3*alpha >= 0 for INEQ7/INEQ8,
-    j = d - 3*alpha >= 0 for INEQ9/INEQ10."""
-    q = alpha if _uses_first_profile(which) else alpha + 1
-    side = 3 * alpha - 1 if which in (Ineq.INEQ7, Ineq.INEQ8) else 3 * alpha
-    return max(0, max(alpha + 2, side) - m * q - 1)
+    convention) meets d >= alpha + 2 and _side >= 0; the side variable is
+    d plus a constant, so its least d is minus its value at d = 0."""
+    q = alpha if which.first else alpha + 1
+    return max(0, max(alpha + 2, -_side(which, alpha, 0)) - m * q - 1)
 
 
 def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
@@ -262,12 +251,14 @@ def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
     return at_zero - floor, per_eps, per_mu
 
 
-def check_derived_args(r: int, alpha_max: int) -> None:
+def check_derived_args(r: int, alpha_max: int, m_max: int = 20) -> None:
     """Raise ValueError unless verify_derived_claims accepts these bounds."""
     if not 4 <= r <= 10:
         raise ValueError(f"need 4 <= r <= 10, got {r}")
     if alpha_max < max(8, r):
         raise ValueError(f"need alpha_max >= max(8, r) = {max(8, r)}, got {alpha_max}")
+    if m_max < 1:
+        raise ValueError(f"need m_max >= 1, got {m_max}")
 
 
 def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> VerificationReport:
@@ -289,16 +280,17 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
     are re-checked through a direct (d, alpha) enumeration and the two
     encodings are cross-asserted.
     """
-    check_derived_args(r, alpha_max)
+    check_derived_args(r, alpha_max, m_max)
     alpha_lo = max(8, r)
     report = VerificationReport(
         "derived",
         {"r": r, "alpha": f"{alpha_lo}..{alpha_max}", "m_max": m_max},
     )
     tuple_violations = []
-    for which, claim, consequence in _DERIVED_CLAIMS[r]:
-        partner = _PARTNER[which]
-        partner_first = _uses_first_profile(partner)
+    for claim in _DERIVED_CLAIMS[r]:
+        which = claim[0]
+        partner = which.partner
+        text = _claim_text(claim)
         for alpha in range(alpha_lo, alpha_max + 1):
             mus = _mus(which, alpha)
             q = len(mus)
@@ -314,23 +306,17 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
                     if base + per_eps * eps + per_mu * mu < 0:
                         continue
                     d = m * q + eps + 1
-                    prof = bounds.castelnuovo_profile(d, alpha)
-                    if partner_first:
-                        m_p, eps_p, mu_p = prof.m1, prof.eps1, prof.mu1
-                    else:
-                        m_p, eps_p, mu_p = prof.m2, prof.eps2, prof.mu2
+                    m_p, eps_p, mu_p = partner.division(bounds.castelnuovo_profile(d, alpha))
                     form = partner_forms.get(m_p)
                     if form is None:
                         form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
                     if form[0] + form[1] * eps_p + form[2] * mu_p < 0:
                         continue
-                    i = d + 1 - 3 * alpha
-                    j = d - 3 * alpha
-                    if not consequence(alpha, m, eps, mu, i, j):
+                    if not _claim_holds(claim, alpha, m, d):
                         tuple_violations.append(
                             {
                                 "ineq": which.value,
-                                "claim": claim,
+                                "claim": text,
                                 "alpha": alpha,
                                 "m": m,
                                 "eps": eps,
@@ -369,30 +355,25 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
 
     if r == 4:
         cross = []
+        claims = [(claim, claim[0], claim[0].partner) for claim in _DERIVED_CLAIMS[r]]
         for alpha in range(alpha_lo, alpha_max + 1):
             for d in range(alpha + 2, m_max * alpha + alpha + 1):
-                i = d + 1 - 3 * alpha
-                j = d - 3 * alpha
                 prof = bounds.castelnuovo_profile(d, alpha)
-                first = (prof.m1, prof.eps1, prof.mu1)
-                second = (prof.m2, prof.eps2, prof.mu2)
                 # Each inequality is evaluated at most once per (alpha, d),
                 # and only when a claim reaches it.
                 holds = {}
-                for which, claim, consequence in _DERIVED_CLAIMS[r]:
-                    if (i if which in (Ineq.INEQ7, Ineq.INEQ8) else j) < 0:
+                for claim, which, partner in claims:
+                    if _side(which, alpha, d) < 0:
                         continue
-                    for ineq in (which, _PARTNER[which]):
+                    for ineq in (which, partner):
                         if ineq not in holds:
-                            m, eps, mu = first if _uses_first_profile(ineq) else second
-                            value = sieve.derived_slack(ineq, r, alpha, m, eps, mu)
+                            value = sieve.derived_slack(ineq, r, alpha, *ineq.division(prof))
                             holds[ineq] = sieve.derived_satisfied(ineq, value)
                         if not holds[ineq]:
                             break
                     else:
-                        m, eps, mu = first if _uses_first_profile(which) else second
-                        if not consequence(alpha, m, eps, mu, i, j):
-                            cross.append({"ineq": which.value, "claim": claim, "d": d, "alpha": alpha})
+                        if not _claim_holds(claim, alpha, which.division(prof)[0], d):
+                            cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}

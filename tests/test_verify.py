@@ -5,7 +5,11 @@ assert the sweeps detect the corruption; every sweep runs in this
 process, so the patched function is the one the sweep actually calls.
 """
 
+from itertools import repeat
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidity_sieve import bounds, cli, sieve, verify
 from rigidity_sieve.sieve import Ineq, SieveCase
@@ -149,14 +153,63 @@ def thm_r3_grid_parts(report):
     return checked, [v for v in report.violations if v["part"] in ("a", "b")], report.audit
 
 
+# The claims of the derived suite written out literally:
+# r -> (inequality, the report's claim text, predicate on
+# (alpha, m, eps, mu, i, j)).  verify._DERIVED_CLAIMS holds each as a
+# tuple; the tests below check that its rendering and its evaluator
+# reproduce these.
+LITERAL_CLAIMS = {
+    4: [
+        (Ineq.INEQ7, "m1 >= 9 and i >= 7a+1", lambda a, m, e, mu, i, j: m >= 9 and i >= 7 * a + 1),
+        (Ineq.INEQ9, "m1 >= 8 and 2j >= 11a-2", lambda a, m, e, mu, i, j: m >= 8 and 2 * j >= 11 * a - 2),
+        (Ineq.INEQ10, "m2 >= 8 and 2j >= 11a+12", lambda a, m, e, mu, i, j: m >= 8 and 2 * j >= 11 * a + 12),
+    ],
+    5: [
+        (Ineq.INEQ7, "m1 >= 5 and i > 3a+1", lambda a, m, e, mu, i, j: m >= 5 and i > 3 * a + 1),
+        (Ineq.INEQ8, "m2 >= 5 and i >= 3a+5", lambda a, m, e, mu, i, j: m >= 5 and i >= 3 * a + 5),
+        (Ineq.INEQ9, "m1 >= 5 and 5j >= 12a-4", lambda a, m, e, mu, i, j: m >= 5 and 5 * j >= 12 * a - 4),
+        (Ineq.INEQ10, "m2 >= 5 and 5j >= 12a+16", lambda a, m, e, mu, i, j: m >= 5 and 5 * j >= 12 * a + 16),
+    ],
+    6: [
+        (Ineq.INEQ7, "m1 >= 4 and 5i > 8a+2", lambda a, m, e, mu, i, j: m >= 4 and 5 * i > 8 * a + 2),
+        (Ineq.INEQ8, "m2 >= 4 and 5i >= 8a+20", lambda a, m, e, mu, i, j: m >= 4 and 5 * i >= 8 * a + 20),
+        (Ineq.INEQ9, "m1 >= 4 and 3j > 4a-2", lambda a, m, e, mu, i, j: m >= 4 and 3 * j > 4 * a - 2),
+        (Ineq.INEQ10, "m2 >= 4 and 3j >= 4a+7", lambda a, m, e, mu, i, j: m >= 4 and 3 * j >= 4 * a + 7),
+    ],
+    7: [
+        (Ineq.INEQ7, "m1 >= 3 and i >= a+1", lambda a, m, e, mu, i, j: m >= 3 and i >= a + 1),
+        (Ineq.INEQ9, "m1 >= 3 and 5j > 4a-4", lambda a, m, e, mu, i, j: m >= 3 and 5 * j > 4 * a - 4),
+        (Ineq.INEQ10, "m2 >= 3 and 5j >= 4a+1", lambda a, m, e, mu, i, j: m >= 3 and 5 * j >= 4 * a + 1),
+    ],
+    8: [
+        (Ineq.INEQ8, "m2 >= 3 and 2i >= a+6", lambda a, m, e, mu, i, j: m >= 3 and 2 * i >= a + 6),
+        (Ineq.INEQ10, "m2 >= 3 and 7j >= 3a+11", lambda a, m, e, mu, i, j: m >= 3 and 7 * j >= 3 * a + 11),
+    ],
+    9: [
+        (Ineq.INEQ8, "m2 >= 3 and 8i >= 2a+23", lambda a, m, e, mu, i, j: m >= 3 and 8 * i >= 2 * a + 23),
+        (Ineq.INEQ10, "m2 >= 2 and j >= 3", lambda a, m, e, mu, i, j: m >= 2 and j >= 3),
+    ],
+    10: [
+        (Ineq.INEQ8, "m2 >= 2 and i >= 4", lambda a, m, e, mu, i, j: m >= 2 and i >= 4),
+        (Ineq.INEQ9, "m1 >= 3 and 11j > a-4", lambda a, m, e, mu, i, j: m >= 3 and 11 * j > a - 4),
+        (Ineq.INEQ10, "m2 >= 2 and j >= 2", lambda a, m, e, mu, i, j: m >= 2 and j >= 2),
+    ],
+}
+
+# The two inequalities of one source case, spelled out.
+LITERAL_PARTNER = {Ineq.INEQ7: Ineq.INEQ8, Ineq.INEQ8: Ineq.INEQ7, Ineq.INEQ9: Ineq.INEQ10, Ineq.INEQ10: Ineq.INEQ9}
+
+
 # The derived suite's primary loop before it read linear forms: one
 # derived_slack per consistent tuple, and the partner inequality per
-# tuple through the profile.  Returns (checked, violations).
+# tuple through the profile.  Returns (checked, violations).  These
+# oracles spell the division conventions, the side conditions and the
+# partners literally, and read no attribute of Ineq.
 
 
 def _consistent_tuples(which, alpha, m_max):
     """Yield (m, eps, mu, d) in the division convention of the inequality."""
-    if verify._uses_first_profile(which):
+    if which in (Ineq.INEQ7, Ineq.INEQ9):
         for m in range(1, m_max + 1):
             for eps in range(0, alpha):
                 yield m, eps, (1 if eps == alpha - 1 else 0), m * alpha + eps + 1
@@ -170,16 +223,26 @@ def _consistent_tuples(which, alpha, m_max):
 def naive_ineq_holds_at(which, r, d, alpha):
     """Evaluate a derived inequality at the profile induced by (d, alpha)."""
     prof = bounds.castelnuovo_profile(d, alpha)
-    if verify._uses_first_profile(which):
+    if which in (Ineq.INEQ7, Ineq.INEQ9):
         value = sieve.derived_slack(which, r, alpha, prof.m1, prof.eps1, prof.mu1)
     else:
         value = sieve.derived_slack(which, r, alpha, prof.m2, prof.eps2, prof.mu2)
     return sieve.derived_satisfied(which, value)
 
 
-def naive_derived_primary(r, alpha_max, m_max):
+def _raised_text(claim, shift):
+    """The literal claim text with its m floor raised by shift."""
+    floor, rest = claim.split(" and ", 1)
+    name, k = floor.split(" >= ")
+    return f"{name} >= {int(k) + shift} and {rest}"
+
+
+def naive_derived_primary(r, alpha_max, m_max, shift=0):
+    """The primary loop on the literal claims, each m floor raised by
+    shift: a literal predicate reads m only through "m >= floor", so
+    evaluating it at m - shift raises that floor."""
     checked, tuple_violations = 0, []
-    for which, claim, consequence in verify._DERIVED_CLAIMS[r]:
+    for which, claim, consequence in LITERAL_CLAIMS[r]:
         for alpha in range(max(8, r), alpha_max + 1):
             for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
                 if d < alpha + 2:
@@ -195,13 +258,13 @@ def naive_derived_primary(r, alpha_max, m_max):
                 value = sieve.derived_slack(which, r, alpha, m, eps, mu)
                 if not sieve.derived_satisfied(which, value):
                     continue
-                if not naive_ineq_holds_at(verify._PARTNER[which], r, d, alpha):
+                if not naive_ineq_holds_at(LITERAL_PARTNER[which], r, d, alpha):
                     continue
-                if not consequence(alpha, m, eps, mu, i, j):
+                if not consequence(alpha, m - shift, eps, mu, i, j):
                     tuple_violations.append(
                         {
                             "ineq": which.value,
-                            "claim": claim,
+                            "claim": _raised_text(claim, shift),
                             "alpha": alpha,
                             "m": m,
                             "eps": eps,
@@ -218,14 +281,9 @@ def primary_parts(report):
     return report.checked, [v for v in report.violations if "check" not in v]
 
 
-def stricter_claims(r):
-    """The claims of r with each m floor raised by 1: every consequence
-    reads m only through "m >= floor", so evaluating it at m - 1 raises
-    that floor."""
-    return [
-        (which, f"{claim} [m floor + 1]", lambda a, m, e, mu, i, j, c=consequence: c(a, m - 1, e, mu, i, j))
-        for which, claim, consequence in verify._DERIVED_CLAIMS[r]
-    ]
+def stricter_claims(r, shift=1):
+    """The claims of r with each m floor K raised by shift."""
+    return [(which, k + shift, *rest) for which, k, *rest in verify._DERIVED_CLAIMS[r]]
 
 
 def report_parts(report):
@@ -353,6 +411,12 @@ class TestDerivedClaims:
         with pytest.raises(ValueError):
             verify.verify_derived_claims(9, 8)
         assert verify.verify_derived_claims(10, 10).checked > 0
+        # Likewise an empty m range.
+        for m_max in (0, -1):
+            with pytest.raises(ValueError):
+                verify.verify_derived_claims(4, 60, m_max)
+            with pytest.raises(ValueError):
+                verify.check_derived_args(4, 60, m_max)
 
     @pytest.mark.parametrize("r", range(4, 11))
     def test_primary_loop_matches_naive_oracle(self, r):
@@ -367,10 +431,42 @@ class TestDerivedClaims:
         report = verify.verify_derived_claims(r, 30)
         checked, violations = primary_parts(report)
         assert violations
-        assert (checked, violations) == naive_derived_primary(r, 30, 20)
+        assert (checked, violations) == naive_derived_primary(r, 30, 20, shift=1)
         if r == 4:
             assert report.audit["cross_encoding_violations"] > 0
             assert not [v for v in report.violations if v.get("check") == "encoding cross-assert"]
+
+    @given(
+        data=st.data(),
+        r=st.integers(4, 10),
+        m_max=st.integers(1, 20),
+        shift=st.sampled_from((0, 1, 2)),
+    )
+    def test_primary_loop_matches_naive_oracle_on_random_bounds(self, data, r, m_max, shift):
+        alpha_max = data.draw(st.integers(max(8, r), 30), label="alpha_max")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r, shift))
+            report = verify.verify_derived_claims(r, alpha_max, m_max)
+        assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max, shift)
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_claims_render_the_literal_text(self, r):
+        rendered = [(claim[0], verify._claim_text(claim)) for claim in verify._DERIVED_CLAIMS[r]]
+        assert rendered == [(which, text) for which, text, _ in LITERAL_CLAIMS[r]]
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_claim_evaluator_matches_the_literal_predicates(self, r):
+        # Every (alpha, m, d) with alpha 8..79, m 0..29 and
+        # alpha + 2 <= d < 40*alpha; i and j are d's side variables.
+        for claim, (_, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+            for alpha in range(8, 80):
+                degrees = range(alpha + 2, 40 * alpha)
+                i_values = range(degrees.start + 1 - 3 * alpha, degrees.stop + 1 - 3 * alpha)
+                j_values = range(degrees.start - 3 * alpha, degrees.stop - 3 * alpha)
+                for m in range(30):
+                    want = list(map(predicate, repeat(alpha), repeat(m), repeat(0), repeat(0), i_values, j_values))
+                    got = list(map(verify._claim_holds, repeat(claim), repeat(alpha), repeat(m), degrees))
+                    assert got == want, (claim, alpha, m)
 
     @pytest.mark.parametrize("r", (5, 6, 7, 10))
     def test_partner_check_reads_the_patched_profile(self, monkeypatch, r):
