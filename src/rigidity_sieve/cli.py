@@ -280,7 +280,7 @@ def _run_suite(args: argparse.Namespace) -> list:
     # suite -> r -> (the check of the suite's bounds, the suite, the bounds).
     suites = {
         "spots": lambda r: (None, verify.verify_spot_values, ()),
-        "r3": lambda r: (verify.check_r3_args, verify.verify_thm_r3, (200 if in_all else d_max("r3"),)),
+        "r3": lambda r: (verify.check_r3_args, verify.verify_thm_r3, (_D_MAX_DEFAULT["r3"] if in_all else d_max("r3"),)),
         "thm41": lambda r: (verify.check_thm41_args, thm41, (r, d_max("thm41"))),
         "derived": lambda r: (verify.check_derived_args, verify.verify_derived_claims, (r, args.alpha_max)),
         "case34": lambda r: (
@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--no-exception", action="store_true")
     p_verify.add_argument("--r-lo", type=bounded_int, default=4)
     p_verify.add_argument("--r-hi", type=bounded_int, default=10)
-    p_verify.add_argument("--d-lo", type=bounded_int, default=101)
-    p_verify.add_argument("--d-hi", type=bounded_int, default=113)
+    p_verify.add_argument("--d-lo", type=bounded_int, default=verify.R5_WINDOW[0])
+    p_verify.add_argument("--d-hi", type=bounded_int, default=verify.R5_WINDOW[1])
     p_verify.add_argument("--a-max", type=bounded_int, default=12)
     p_verify.add_argument("--b-max", type=bounded_int, default=60)
     p_verify.add_argument("--e-max", type=bounded_int, default=4)

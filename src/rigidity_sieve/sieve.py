@@ -24,8 +24,8 @@ from .bounds import CastelnuovoProfile
 
 
 class SieveCase(enum.Enum):
-    """The four exclusion cases: 1/2 for d < g, 3/4 for d >= g; odd cases
-    assume a zero-dimensional series locus, even cases a positive one."""
+    """The four exclusion cases: 1/2 (below) for d < g, 3/4 for d >= g;
+    odd cases assume a zero-dimensional series locus, even a positive one."""
 
     CASE1 = "case1"
     CASE2 = "case2"
@@ -34,11 +34,7 @@ class SieveCase(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.index = int(value[-1])
-
-    def applies(self, d: int, g: int) -> bool:
-        if self.index <= 2:
-            return d < g
-        return d >= g
+        self.below = self.index <= 2
 
 
 class Ineq(enum.Enum):
@@ -161,16 +157,16 @@ def case_slack(case: SieveCase, d: int, g: int, r: int, alpha: int) -> int:
     return (r - 3) * g - (r + 1) * (d - alpha) + 3
 
 
+def _cap_numerator(case: SieveCase, d: int, g: int) -> int:
+    """3 * alpha is at most this: d + 1, d, 2d - g + 1, 2d - g for
+    cases 1..4 respectively."""
+    return (d if case.below else 2 * d - g) + case.index % 2
+
+
 def alpha_cap(case: SieveCase, d: int, g: int) -> int:
     """Largest alpha allowed by the case: floor of (d+1)/3, d/3,
     (2d-g+1)/3, (2d-g)/3 for cases 1..4 respectively."""
-    if case is SieveCase.CASE1:
-        return (d + 1) // 3
-    if case is SieveCase.CASE2:
-        return d // 3
-    if case is SieveCase.CASE3:
-        return (2 * d - g + 1) // 3
-    return (2 * d - g) // 3
+    return _cap_numerator(case, d, g) // 3
 
 
 def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
@@ -183,6 +179,22 @@ def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]
     """
     at0 = case_slack(case, d, g, r, 0)
     return max(r, -(at0 // (case_slack(case, d, g, r, 1) - at0))), alpha_cap(case, d, g)
+
+
+def _case_windows(d: int, r: int, g_min: int, g_max: int) -> Iterator[tuple]:
+    """(case, g_lo, g_hi, alpha_lo, alpha_hi) in case order, for each case
+    with an alpha on g_min..g_max: the case applies on g_lo..g_hi (d < g
+    in cases 1/2, d >= g in 3/4), and alpha_lo..alpha_hi span its windows
+    (case_alpha_range) there: the floor read at g_hi, as the slack rises
+    with g, and the ceiling at g_lo, as the alpha cap does not."""
+    for case in SieveCase:
+        g_lo, g_hi = (max(g_min, d + 1), g_max) if case.below else (g_min, min(g_max, d))
+        if g_lo > g_hi:
+            continue
+        alpha_lo = case_alpha_range(case, d, g_hi, r)[0]
+        alpha_hi = alpha_cap(case, d, g_lo)
+        if alpha_lo <= alpha_hi:
+            yield case, g_lo, g_hi, alpha_lo, alpha_hi
 
 
 # The paper's third genus-cap step also asks g < pi1.  That never binds:
@@ -225,30 +237,23 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     alpha caps and genus caps, in (alpha, case) order, built only as the
     iterator reaches it.
 
-    One ascending walk over the union of the two applicable case
-    windows: the genus caps and the profile do not depend on the case,
-    so each is evaluated once per alpha.  The union has no gap, since
-    the first case's window ends at or one above the second's.  The gates
-    of scan are not applied here.
+    One ascending walk over the union of the applicable case windows
+    (_case_windows at g): the genus caps and the profile do not depend
+    on the case, so each is evaluated once per alpha.  The union has no
+    gap, since the first case's window ends at or one above the
+    second's.  The gates of scan are not applied here.
     """
-    first, second = (case for case in SieveCase if case.applies(d, g))
-    lo1, hi1 = case_alpha_range(first, d, g, r)
-    lo2, hi2 = case_alpha_range(second, d, g, r)
-    if lo1 > hi1:
-        lo, hi = lo2, hi2
-    elif lo2 > hi2:
-        lo, hi = lo1, hi1
-    else:
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
-    for alpha in range(lo, hi + 1):
+    windows = [(case, lo, hi) for case, _, _, lo, hi in _case_windows(d, r, g, g)]
+    if not windows:
+        return
+    for alpha in range(min(w[1] for w in windows), max(w[2] for w in windows) + 1):
         if not genus_caps_ok(d, g, alpha):
             continue
         profile = bounds.castelnuovo_profile(d, alpha)
         i = d + 1 - 3 * alpha
-        if lo1 <= alpha <= hi1:
-            yield SieveWitness(alpha, first, i, i - 1, profile, case_slack(first, d, g, r, alpha))
-        if lo2 <= alpha <= hi2:
-            yield SieveWitness(alpha, second, i, i - 1, profile, case_slack(second, d, g, r, alpha))
+        for case, lo, hi in windows:
+            if lo <= alpha <= hi:
+                yield SieveWitness(alpha, case, i, i - 1, profile, case_slack(case, d, g, r, alpha))
 
 
 def _check_domain(d: int, r: int) -> None:
@@ -328,31 +333,19 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     Every such condition is monotone in g, so the g form one interval:
     the gates and the case split bound g below (cases 3/4 also above,
     by d), the slack is linear in g with coefficient r - 3 or r - 4,
-    which is >= 0, and the alpha caps of cases 3/4 bound g above.  A
-    case's alphas run from its window's floor at its largest g (the
-    floor falls as g rises) to its ceiling at its least g.
+    which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
+    alphas of a case are those of its _case_windows.
     """
     _check_domain(d, r)
-    least = least_special_genus(d)
     spans = []
-    # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
-    # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
-    for case, g_min, g_max, cap_top in (
-        (SieveCase.CASE1, max(least, d + 1), g_top, None),
-        (SieveCase.CASE2, max(least, d + 1), g_top, None),
-        (SieveCase.CASE3, least, min(d, g_top), 2 * d + 1),
-        (SieveCase.CASE4, least, min(d, g_top), 2 * d),
-    ):
-        if g_min > g_max:
-            continue
-        alpha_lo = case_alpha_range(case, d, g_max, r)[0]
-        alpha_hi = case_alpha_range(case, d, g_min, r)[1]
-        if alpha_lo > alpha_hi:
-            continue
+    for case, g_min, g_max, alpha_lo, alpha_hi in _case_windows(d, r, least_special_genus(d), g_top):
         # case_slack = at_zero + per_g * g + per_alpha * alpha.
         at_zero = case_slack(case, d, 0, r, 0)
         per_g = case_slack(case, d, 1, r, 0) - at_zero
         per_alpha = case_slack(case, d, 0, r, 1) - at_zero
+        # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
+        # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
+        cap_top = None if case.below else _cap_numerator(case, d, 0)
         spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
     if not spans:
         return

@@ -257,8 +257,9 @@ def check_derived_args(r: int, alpha_max: int, m_max: int = 20) -> None:
         raise ValueError(f"need 4 <= r <= 10, got {r}")
     if alpha_max < max(8, r):
         raise ValueError(f"need alpha_max >= max(8, r) = {max(8, r)}, got {alpha_max}")
-    if m_max < 1:
-        raise ValueError(f"need m_max >= 1, got {m_max}")
+    # m = 1 yields no tuple, so m_max = 1 would pass vacuously.
+    if m_max < 2:
+        raise ValueError(f"need m_max >= 2, got {m_max}")
 
 
 def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> VerificationReport:
@@ -328,8 +329,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
 
     if r == 9:
         hits = set()
-        # The pairs come from m = 2 alone, so m_max < 2 finds none.
-        for alpha in range(alpha_lo, alpha_max + 1) if m_max >= 2 else ():
+        for alpha in range(alpha_lo, alpha_max + 1):
             mus = _mus(Ineq.INEQ10, alpha)
             base, per_eps, per_mu = _linear_form(Ineq.INEQ10, r, alpha, 2)
             for eps in range(_least_eps(Ineq.INEQ10, alpha, 2), len(mus)):
@@ -343,7 +343,8 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> Verificati
                 # (30, 33) is -5, so scan excludes that point.  Kept, as
                 # the recorded verify-all output carries it; whether the
                 # paper means the floor is open (ROADMAP item 5).
-                g_lo = (r * d - (r - 2) * alpha - 4) // (r - 3)
+                at_zero = sieve.case_slack(SieveCase.CASE2, d, 0, r, alpha)
+                g_lo = -at_zero // (sieve.case_slack(SieveCase.CASE2, d, 1, r, alpha) - at_zero)
                 for g in range(max(g_lo, d + 1), prof.pi2 + 1):
                     hits.add((d, g))
         expected = {(30, 33), (30, 34)}
@@ -440,7 +441,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
             if g_lo <= cap:
                 fired[case].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
-            if case in (SieveCase.CASE1, SieveCase.CASE2):
+            if case.below:
                 a_lo = g_lo if 3 * alpha >= d else g_hi + 1
             else:
                 a_lo = max(g_lo, 2 * d - 3 * alpha)
@@ -453,7 +454,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
             # those with pi2 > g - 1.
             if prof.m2 != 2 or prof.mu2 != 0:
                 a_hi = g_hi
-            elif case in (SieveCase.CASE1, SieveCase.CASE2):
+            elif case.below:
                 a_hi = g_hi if prof.pi2 > d else min(g_hi, cap)
             else:
                 a_hi = min(g_hi, max(prof.pi2, cap))
@@ -498,6 +499,10 @@ def check_r5window_args(d_lo: int, d_hi: int) -> None:
         raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
 
 
+# The degree window on which the paper's r = 5 range adds a clause.
+R5_WINDOW = (101, 113)
+
+
 def r5_window_limit(d: int) -> int:
     """The largest g meeting the clause 3d > g + 22 that the paper's
     r = 5 range adds on the degree window 101..113.  There the r = 5 row
@@ -506,7 +511,7 @@ def r5_window_limit(d: int) -> int:
     return 3 * d - 23
 
 
-def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
+def verify_r5_window(d_lo: int = R5_WINDOW[0], d_hi: int = R5_WINDOW[1]) -> VerificationReport:
     """Enumerate sieve survivors at r = 5 inside the degree window with
     g <= sieve.range_g_limit (the range without the window's extra
     clause), and confirm each lies above r5_window_limit (without which
@@ -521,7 +526,7 @@ def verify_r5_window(d_lo: int = 101, d_hi: int = 113) -> VerificationReport:
     the per-point sieve itself on the `verify all` path.
     """
     check_r5window_args(d_lo, d_hi)
-    diagnostic = (d_lo, d_hi) != (101, 113)
+    diagnostic = (d_lo, d_hi) != R5_WINDOW
     report = VerificationReport(
         "r5window",
         {"d_lo": d_lo, "d_hi": d_hi, "g": "2..5d/2", "diagnostic": diagnostic},

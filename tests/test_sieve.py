@@ -34,7 +34,8 @@ def naive_scan_config_list(d, g, r):
     out = []
     emb = bounds.embed_dim_cap(d, g)
     for case in SieveCase:
-        if not case.applies(d, g):
+        # cases 1/2 need d < g, cases 3/4 d >= g
+        if (case in (SieveCase.CASE1, SieveCase.CASE2)) != (d < g):
             continue
         for alpha in range(r, min(emb, sieve.alpha_cap(case, d, g)) + 1):
             if sieve.case_slack(case, d, g, r, alpha) < 0:
@@ -93,10 +94,8 @@ PAPER_RANGE_RS = (4, 7, 8, 9, 10, 12, 20)
 
 class TestCaseMachinery:
     def test_applicability_splits_on_degree_vs_genus(self):
-        assert SieveCase.CASE1.applies(10, 11) and SieveCase.CASE2.applies(10, 11)
-        assert not SieveCase.CASE3.applies(10, 11)
-        assert SieveCase.CASE3.applies(11, 11) and SieveCase.CASE4.applies(11, 11)
-        assert not SieveCase.CASE1.applies(11, 11)
+        # below: the case needs d < g (cases 1/2); cases 3/4 need d >= g.
+        assert [case.below for case in SieveCase] == [True, True, False, False]
 
     def test_case_slack_pins(self):
         assert sieve.case_slack(SieveCase.CASE2, 30, 34, 9, 9) == 1
@@ -209,7 +208,7 @@ class TestScan:
                         continue
                     union = set()
                     for case in SieveCase:
-                        if case.applies(d, g):
+                        if (case in (SieveCase.CASE1, SieveCase.CASE2)) == (d < g):
                             lo, hi = sieve.case_alpha_range(case, d, g, r)
                             union.update(range(lo, hi + 1))
                     seen.clear()

@@ -411,8 +411,9 @@ class TestDerivedClaims:
         with pytest.raises(ValueError):
             verify.verify_derived_claims(9, 8)
         assert verify.verify_derived_claims(10, 10).checked > 0
-        # Likewise an empty m range.
-        for m_max in (0, -1):
+        # Likewise an empty m range, and m_max = 1, whose only m yields
+        # no tuple.
+        for m_max in (1, 0, -1):
             with pytest.raises(ValueError):
                 verify.verify_derived_claims(4, 60, m_max)
             with pytest.raises(ValueError):
@@ -421,7 +422,7 @@ class TestDerivedClaims:
     @pytest.mark.parametrize("r", range(4, 11))
     def test_primary_loop_matches_naive_oracle(self, r):
         alpha_lo = max(8, r)
-        for alpha_max, m_max in ((alpha_lo, 1), (alpha_lo + 1, 2), (15, 3), (24, 20), (30, 25)):
+        for alpha_max, m_max in ((alpha_lo, 2), (alpha_lo + 1, 2), (15, 3), (24, 20), (30, 25)):
             report = verify.verify_derived_claims(r, alpha_max, m_max)
             assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max)
 
@@ -439,7 +440,7 @@ class TestDerivedClaims:
     @given(
         data=st.data(),
         r=st.integers(4, 10),
-        m_max=st.integers(1, 20),
+        m_max=st.integers(2, 20),
         shift=st.sampled_from((0, 1, 2)),
     )
     def test_primary_loop_matches_naive_oracle_on_random_bounds(self, data, r, m_max, shift):
@@ -578,6 +579,21 @@ class TestMutationDetection:
         # The fixtures must not leak: the same sweeps pass on clean code.
         assert verify.verify_thm41(7, 40).ok
         assert verify.verify_thm41(5, 50).ok
+
+    def test_case2_slack_lowered_by_2_reaches_every_reader(self, monkeypatch):
+        # scan, the genus intervals and the r = 9 audit all read the
+        # case-2 slack off sieve.case_slack.
+        real = sieve.case_slack
+
+        def case2_lowered(case, d, g, r, alpha):
+            return real(case, d, g, r, alpha) - (2 if case is SieveCase.CASE2 else 0)
+
+        assert sieve.scan(30, 34, 9).is_survivor
+        clean = sieve.witnesses_by_genus(30, 9, 40)
+        monkeypatch.setattr(sieve, "case_slack", case2_lowered)
+        assert not sieve.scan(30, 34, 9).is_survivor
+        assert sieve.witnesses_by_genus(30, 9, 40) != clean
+        assert verify.verify_derived_claims(9, 60).audit["m2_eq_2_pairs"] == [(30, 34)]
 
     def test_pi1_off_by_one_reaches_sweep_rows(self, monkeypatch):
         clean = cli.run_sweep(7, 140)
