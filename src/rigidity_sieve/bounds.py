@@ -138,13 +138,7 @@ def quadric_types(d: int, g: int) -> list[tuple[int, int]]:
     smooth quadric surface; the list (possibly empty) is sorted by
     decreasing a.
     """
-    out = []
-    for b in range(0, d // 2 + 1):
-        a = d - b
-        if (a - 1) * (b - 1) == g:
-            out.append((a, b))
-    out.sort(reverse=True)
-    return out
+    return [(d - b, b) for b in range(0, d // 2 + 1) if (d - b - 1) * (b - 1) == g]
 
 
 def image_dim_r3(d: int, h1_normal: int) -> int:

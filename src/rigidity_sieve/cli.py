@@ -234,6 +234,8 @@ def render_sweep_csv(rows: list) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.r < 3:
+        raise ValueError(f"ambient dimension must be >= 3, got {args.r}")
     if args.r == 3 and args.in_range_only:
         raise ValueError("--in-range-only requires r >= 4")
     started = time.monotonic()
@@ -387,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r-hi", type=bounded_int, default=10)
     p_verify.add_argument("--d-lo", type=bounded_int, default=verify.R5_WINDOW[0])
     p_verify.add_argument("--d-hi", type=bounded_int, default=verify.R5_WINDOW[1])
-    p_verify.add_argument("--a-max", type=bounded_int, default=12)
-    p_verify.add_argument("--b-max", type=bounded_int, default=60)
-    p_verify.add_argument("--e-max", type=bounded_int, default=4)
+    p_verify.add_argument("--a-max", type=bounded_int, default=verify.SPLITS_GRID[0])
+    p_verify.add_argument("--b-max", type=bounded_int, default=verify.SPLITS_GRID[1])
+    p_verify.add_argument("--e-max", type=bounded_int, default=verify.SPLITS_GRID[2])
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -132,10 +132,6 @@ class Verdict:
     def is_survivor(self) -> bool:
         return self.outcome == SURVIVORS
 
-    @staticmethod
-    def survivors(witnesses) -> "Verdict":
-        return Verdict(SURVIVORS, witnesses=tuple(witnesses))
-
 
 _EXCLUDED_NON_SPECIAL = Verdict(EXCLUDED, reasons=(NON_SPECIAL,))
 _EXCLUDED_NO_ALPHA = Verdict(EXCLUDED, reasons=(NO_ALPHA,))
@@ -522,12 +518,12 @@ def range_genera(d: int, r: int, *, honor_exception: bool = True) -> range | tup
     return genera
 
 
-def range_thm41(d: int, g: int, r: int, *, honor_exception: bool = True) -> bool:
+def range_thm41(d: int, g: int, r: int) -> bool:
     """Whether (d, g) lies in the hypothesis range of the r >= 4 theorem,
     i.e. whether g is among range_genera(d, r)."""
     if g < 1:
         raise ValueError(f"need g >= 1, got {g}")
-    return g in range_genera(d, r, honor_exception=honor_exception)
+    return g in range_genera(d, r)
 
 
 def r3_genera(d: int) -> range:
@@ -565,7 +561,7 @@ def r3_sieve(d: int, g: int) -> Verdict:
         if slack >= 0:
             found.append(R3Witness(alpha, "dim-w-pos", slack))
     if found:
-        return Verdict.survivors(found)
+        return Verdict(SURVIVORS, tuple(found))
     if (d + 1) // 3 < 3:
         return _EXCLUDED_NO_ALPHA
     return _EXCLUDED_INFEASIBLE

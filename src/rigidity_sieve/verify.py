@@ -20,6 +20,13 @@ from .sieve import Ineq, SieveCase
 from .surfaces import DivisorClass
 
 ENUMERATION_CAVEAT = "bounded enumeration: claims are verified only on the stated universe"
+# Suite defaults, read by the suites' signatures and by the CLI's flags:
+# the r5window degree window, on which the paper's r = 5 range adds a
+# clause; the largest quotient m of derived (which has no flag); the
+# splits grid (a_max, b_max, e_max).
+R5_WINDOW = (101, 113)
+DERIVED_M_MAX = 20
+SPLITS_GRID = (12, 60, 4)
 
 
 @dataclass
@@ -251,7 +258,7 @@ def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
     return at_zero - floor, per_eps, per_mu
 
 
-def check_derived_args(r: int, alpha_max: int, m_max: int = 20) -> None:
+def check_derived_args(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) -> None:
     """Raise ValueError unless verify_derived_claims accepts these bounds."""
     if not 4 <= r <= 10:
         raise ValueError(f"need 4 <= r <= 10, got {r}")
@@ -262,7 +269,7 @@ def check_derived_args(r: int, alpha_max: int, m_max: int = 20) -> None:
         raise ValueError(f"need m_max >= 2, got {m_max}")
 
 
-def verify_derived_claims(r: int, alpha_max: int, m_max: int = 20) -> VerificationReport:
+def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) -> VerificationReport:
     """Check the per-r consequences of the four derived inequalities.
 
     Enumerates consistent (alpha, m, eps, mu) with alpha in
@@ -499,10 +506,6 @@ def check_r5window_args(d_lo: int, d_hi: int) -> None:
         raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
 
 
-# The degree window on which the paper's r = 5 range adds a clause.
-R5_WINDOW = (101, 113)
-
-
 def r5_window_limit(d: int) -> int:
     """The largest g meeting the clause 3d > g + 22 that the paper's
     r = 5 range adds on the degree window 101..113.  There the r = 5 row
@@ -627,7 +630,9 @@ def check_splits_args(a_max: int, b_max: int, e_max: int) -> None:
         raise ValueError("grid bounds must be nonnegative")
 
 
-def verify_splits(a_max: int = 12, b_max: int = 60, e_max: int = 4) -> VerificationReport:
+def verify_splits(
+    a_max: int = SPLITS_GRID[0], b_max: int = SPLITS_GRID[1], e_max: int = SPLITS_GRID[2]
+) -> VerificationReport:
     """Run the stable-split construction over the divisor grid and
     re-check every certificate: the parts sum to the input, both parts
     are classes of smooth irreducible curves, the intersection number is

@@ -317,7 +317,7 @@ class TestSweep:
     def test_r_below_3_exits_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--r", "2", "--d-max", "5")
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err == "error: ambient dimension must be >= 3, got 2\n"
 
     def test_negative_d_max_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -412,7 +412,7 @@ class TestDerivedInequalities:
 class TestHypothesisRange:
     def test_exception_point(self):
         assert not sieve.range_thm41(30, 34, 9)
-        assert sieve.range_thm41(30, 34, 9, honor_exception=False)
+        assert 34 in sieve.range_genera(30, 9, honor_exception=False)
         assert sieve.range_thm41(30, 33, 9)
 
     def test_high_r_shapes(self):
@@ -459,10 +459,8 @@ class TestHypothesisRange:
         for r in (4, 5, 6, 7, 8, 9, 10, 11, 12, 15):
             for d in range(1, 70):
                 limit = sieve.range_g_limit(d, r)
-                flags = [
-                    sieve.range_thm41(d, g, r, honor_exception=False)
-                    for g in range(1, limit + 40)
-                ]
+                genera = sieve.range_genera(d, r, honor_exception=False)
+                flags = [g in genera for g in range(1, limit + 40)]
                 # prefix of Trues, then all False: no in-range g above limit
                 assert flags == sorted(flags, reverse=True)
                 assert not any(flags[limit:])
@@ -489,11 +487,12 @@ class TestHypothesisRange:
         for d in range(1, 160):
             genera = range(1, sieve.range_g_limit(d, r) + 40)
             for honor in (True, False):
-                flags = [sieve.range_thm41(d, g, r, honor_exception=honor) for g in genera]
+                in_range = sieve.range_genera(d, r, honor_exception=honor)
+                flags = [g in in_range for g in genera]
                 assert flags == [paper_range(d, g, r, honor) for g in genera], (d, honor)
-                assert list(sieve.range_genera(d, r, honor_exception=honor)) == [
-                    g for g, flag in zip(genera, flags) if flag
-                ], (d, honor)
+                assert list(in_range) == [g for g, flag in zip(genera, flags) if flag], (d, honor)
+                if honor:
+                    assert [sieve.range_thm41(d, g, r) for g in genera] == flags, d
 
     @given(
         d=st.integers(1, 2**63 - 1),
@@ -502,7 +501,10 @@ class TestHypothesisRange:
         honor=st.booleans(),
     )
     def test_matches_paper_clauses_on_large_inputs(self, d, g, r, honor):
-        assert sieve.range_thm41(d, g, r, honor_exception=honor) == paper_range(d, g, r, honor)
+        in_range = paper_range(d, g, r, honor)
+        assert (g in sieve.range_genera(d, r, honor_exception=honor)) == in_range
+        if honor:
+            assert sieve.range_thm41(d, g, r) == in_range
         limit = sieve.range_g_limit(d, r)
         assert limit == 0 or paper_range(d, limit, r, False)
         assert not paper_range(d, limit + 1, r, False)

@@ -660,7 +660,7 @@ class TestAgainstPerPointOracles:
         # gives part (a), and an empty allowed set turns the known six
         # into part (b).
         real_chain = sieve.r3_sieve
-        survivor = sieve.Verdict.survivors([sieve.R3Witness(3, "dim-w-0", 0)])
+        survivor = sieve.Verdict(sieve.SURVIVORS, (sieve.R3Witness(3, "dim-w-0", 0),))
         monkeypatch.setattr(sieve, "r3_sieve", lambda d, g: survivor if d in (12, 40) else real_chain(d, g))
         monkeypatch.setattr(verify, "_R3_ALLOWED", set())
         report = verify.verify_thm_r3(60)
