@@ -215,12 +215,17 @@ def _claim_text(claim: tuple) -> str:
     return f"{'m1' if which.first else 'm2'} >= {k} and {lhs} {op} {rhs}"
 
 
+def _claim_least_d(claim: tuple, alpha: int) -> int:
+    """The least d at which c*v op a*alpha + b holds: c > 0 and v is d
+    plus a constant, so it holds exactly from this d up."""
+    which, _, c, op, a, b = claim
+    return -(-(a * alpha + b + (op == ">")) // c) - _side(which, alpha, 0)
+
+
 def _claim_holds(claim: tuple, alpha: int, m: int, d: int) -> bool:
     """Whether the claim holds at (alpha, d), m being the quotient of d
     in the convention of the claim's inequality."""
-    which, k, c, op, a, b = claim
-    over = c * _side(which, alpha, d) - a * alpha - b
-    return m >= k and (over > 0 if op == ">" else over >= 0)
+    return m >= claim[1] and d >= _claim_least_d(claim, alpha)
 
 
 def _mus(which: Ineq, alpha: int) -> list:
@@ -280,7 +285,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     in that joint context.  A tuple satisfying all of that but violating
     the claimed consequence is a violation.  Both inequalities are
     evaluated through their linear form in (eps, mu), read once per
-    (inequality, alpha, m).
+    (inequality, alpha, m), and only at the eps where the claim fails.
 
     For r = 9 the enumeration additionally rebuilds the set of (d, g)
     with a second-profile denominator of 2 passing the tenth inequality
@@ -296,20 +301,24 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     )
     tuple_violations = []
     for claim in _DERIVED_CLAIMS[r]:
-        which = claim[0]
+        which, k = claim[:2]
         partner = which.partner
         text = _claim_text(claim)
         for alpha in range(alpha_lo, alpha_max + 1):
             mus = _mus(which, alpha)
             q = len(mus)
+            least_d = _claim_least_d(claim, alpha)
             partner_forms = {}
             for m in range(1, m_max + 1):
                 e0 = _least_eps(which, alpha, m)
-                if e0 >= q:
+                report.checked += max(0, q - e0)
+                # The claim fails at every eps while m < k; from m = k on,
+                # at the eps whose d lies below its least d.
+                stop = q if m < k else min(q, least_d - m * q - 1)
+                if e0 >= stop:
                     continue
-                report.checked += q - e0
                 base, per_eps, per_mu = _linear_form(which, r, alpha, m)
-                for eps in range(e0, q):
+                for eps in range(e0, stop):
                     mu = mus[eps]
                     if base + per_eps * eps + per_mu * mu < 0:
                         continue
@@ -318,9 +327,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                     form = partner_forms.get(m_p)
                     if form is None:
                         form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
-                    if form[0] + form[1] * eps_p + form[2] * mu_p < 0:
-                        continue
-                    if not _claim_holds(claim, alpha, m, d):
+                    if form[0] + form[1] * eps_p + form[2] * mu_p >= 0:
                         tuple_violations.append(
                             {
                                 "ineq": which.value,
@@ -365,13 +372,15 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
         cross = []
         claims = [(claim, claim[0], claim[0].partner) for claim in _DERIVED_CLAIMS[r]]
         for alpha in range(alpha_lo, alpha_max + 1):
-            for d in range(alpha + 2, m_max * alpha + alpha + 1):
+            # Up to the last degree of m = m_max in the m2 convention.
+            for d in range(alpha + 2, (m_max + 1) * (alpha + 1) + 1):
                 prof = bounds.castelnuovo_profile(d, alpha)
                 # Each inequality is evaluated at most once per (alpha, d),
-                # and only when a claim reaches it.
+                # and only when a claim that fails there reaches it.
                 holds = {}
                 for claim, which, partner in claims:
-                    if _side(which, alpha, d) < 0:
+                    m = which.division(prof)[0]
+                    if m > m_max or _side(which, alpha, d) < 0 or _claim_holds(claim, alpha, m, d):
                         continue
                     for ineq in (which, partner):
                         if ineq not in holds:
@@ -380,8 +389,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                         if not holds[ineq]:
                             break
                     else:
-                        if not _claim_holds(claim, alpha, which.division(prof)[0], d):
-                            cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
+                        cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
@@ -628,6 +636,10 @@ def check_splits_args(a_max: int, b_max: int, e_max: int) -> None:
     """Raise ValueError unless verify_splits accepts these bounds."""
     if a_max < 0 or b_max < 0 or e_max < 0:
         raise ValueError("grid bounds must be nonnegative")
+    # X_0 bounds every genus of the grid by that of (a_max, b_max) there,
+    # (a_max - 1)(b_max - 1); without a class the suite would pass vacuously.
+    if a_max < 2 or (a_max - 1) * (b_max - 1) < 2:
+        raise ValueError(f"the grid a <= {a_max}, b <= {b_max} holds no class of genus >= 2")
 
 
 def verify_splits(

@@ -468,6 +468,25 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("splits", "--a-max", "1"),
+            ("splits", "--b-max", "1"),
+            ("splits", "--a-max", "2", "--b-max", "2"),
+            ("all", "--a-max", "1"),
+        ],
+    )
+    def test_empty_splits_grid_exits_2(self, capsys, monkeypatch, argv):
+        # No class of genus >= 2: only the canonical splits would be checked.
+        def must_not_run():
+            raise AssertionError("a suite ran before the bounds were checked")
+
+        monkeypatch.setattr(verify, "verify_spot_values", must_not_run)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and "no class of genus >= 2" in err
+
     def test_empty_r5_window_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")
         assert code == 2

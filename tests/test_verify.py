@@ -5,14 +5,16 @@ assert the sweeps detect the corruption; every sweep runs in this
 process, so the patched function is the one the sweep actually calls.
 """
 
+from collections import Counter
 from itertools import repeat
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rigidity_sieve import bounds, cli, sieve, verify
+from rigidity_sieve import bounds, cli, sieve, surfaces, verify
 from rigidity_sieve.sieve import Ineq, SieveCase
+from rigidity_sieve.surfaces import DivisorClass
 
 REAL_PROFILE = bounds.castelnuovo_profile
 
@@ -286,6 +288,43 @@ def stricter_claims(r, shift=1):
     return [(which, k + shift, *rest) for which, k, *rest in verify._DERIVED_CLAIMS[r]]
 
 
+def expected_derived_reads(r, alpha_max, m_max):
+    """The profile and linear-form reads of verify_derived_claims(r,
+    alpha_max, m_max), counted by brute force: its primary loop reads
+    both only at consistent tuples where the claim fails (one primary
+    form per (claim, alpha, m) with such a tuple; one profile per such
+    tuple passing its own inequality, and one partner form per
+    (claim, alpha) and partner quotient met there); the r = 4 cross loop
+    reads one profile per (alpha, d) up to the primary's largest d; the
+    r = 9 audit one form per alpha and one profile per m2 = 2 tuple
+    passing the tenth inequality."""
+    reads = Counter()
+    for claim, (which, _, _) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+        partner = LITERAL_PARTNER[which]
+        for alpha in range(max(8, r), alpha_max + 1):
+            failing_m, partner_m = set(), set()
+            for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
+                side = d + 1 - 3 * alpha if which in (Ineq.INEQ7, Ineq.INEQ8) else d - 3 * alpha
+                if d < alpha + 2 or side < 0 or verify._claim_holds(claim, alpha, m, d):
+                    continue
+                failing_m.add(m)
+                if sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, m, eps, mu)):
+                    reads["profile"] += 1
+                    prof = REAL_PROFILE(d, alpha)
+                    partner_m.add(prof.m1 if partner in (Ineq.INEQ7, Ineq.INEQ9) else prof.m2)
+            reads["form"] += len(failing_m) + len(partner_m)
+    for alpha in range(max(8, r), alpha_max + 1):
+        if r == 4:
+            reads["profile"] += len(range(alpha + 2, (m_max + 1) * (alpha + 1) + 1))
+        if r == 9:
+            reads["form"] += 1
+            for m, eps, mu, d in _consistent_tuples(Ineq.INEQ10, alpha, 2):
+                if m == 2 and d >= alpha + 2 and d >= 3 * alpha:
+                    value = sieve.derived_slack(Ineq.INEQ10, r, alpha, m, eps, mu)
+                    reads["profile"] += sieve.derived_satisfied(Ineq.INEQ10, value)
+    return reads
+
+
 def report_parts(report):
     return report.checked, report.violations, report.audit
 
@@ -420,11 +459,37 @@ class TestDerivedClaims:
                 verify.check_derived_args(4, 60, m_max)
 
     @pytest.mark.parametrize("r", range(4, 11))
-    def test_primary_loop_matches_naive_oracle(self, r):
+    def test_primary_loop_matches_naive_oracle(self, monkeypatch, r):
         alpha_lo = max(8, r)
         for alpha_max, m_max in ((alpha_lo, 2), (alpha_lo + 1, 2), (15, 3), (24, 20), (30, 25)):
-            report = verify.verify_derived_claims(r, alpha_max, m_max)
-            assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max)
+            # A shift of m_max raises every K above m_max: the claim then
+            # fails at every m, and the window is the whole eps range.
+            for shift in (0, m_max):
+                monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r, shift))
+                report = verify.verify_derived_claims(r, alpha_max, m_max)
+                monkeypatch.undo()
+                assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max, shift)
+                # The r = 4 cross loop reaches every degree the primary does.
+                assert [v for v in report.violations if "check" in v] == []
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_reads_forms_and_profiles_only_where_the_claim_fails(self, monkeypatch, r):
+        # A full eps walk would read a profile at every tuple passing its
+        # own inequality, and a form at every (claim, alpha, m).
+        want = expected_derived_reads(r, 60, verify.DERIVED_M_MAX)
+        reads = Counter()
+
+        def counted(key, function):
+            def wrapper(*args):
+                reads[key] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "castelnuovo_profile", counted("profile", REAL_PROFILE))
+        monkeypatch.setattr(verify, "_linear_form", counted("form", verify._linear_form))
+        assert verify.verify_derived_claims(r, 60).ok
+        assert reads == want
 
     @pytest.mark.parametrize("r", range(4, 11))
     def test_reports_violations_of_stricter_claims(self, monkeypatch, r):
@@ -441,7 +506,8 @@ class TestDerivedClaims:
         data=st.data(),
         r=st.integers(4, 10),
         m_max=st.integers(2, 20),
-        shift=st.sampled_from((0, 1, 2)),
+        # 20 raises every K above m_max: the window is the whole eps range.
+        shift=st.sampled_from((0, 1, 2, 20)),
     )
     def test_primary_loop_matches_naive_oracle_on_random_bounds(self, data, r, m_max, shift):
         alpha_max = data.draw(st.integers(max(8, r), 30), label="alpha_max")
@@ -468,6 +534,27 @@ class TestDerivedClaims:
                     want = list(map(predicate, repeat(alpha), repeat(m), repeat(0), repeat(0), i_values, j_values))
                     got = list(map(verify._claim_holds, repeat(claim), repeat(alpha), repeat(m), degrees))
                     assert got == want, (claim, alpha, m)
+
+    def test_claim_coefficients_are_positive(self):
+        # The eps window relies on c > 0: the claim then holds exactly
+        # from its least d up.
+        claims = [claim for r in range(4, 11) for claim in verify._DERIVED_CLAIMS[r]]
+        assert len(claims) == 21
+        assert all(c > 0 for _, _, c, *_ in claims)
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_claim_least_degree_is_the_literal_threshold(self, r):
+        # At m = K the literal predicate fails below _claim_least_d and
+        # holds from it up; at m = K - 1 it fails everywhere.
+        for claim, (_, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+            k = claim[1]
+            for alpha in range(8, 80):
+                degrees = range(0, 12 * alpha)
+                holds = [predicate(alpha, k, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha) for d in degrees]
+                least = holds.index(True)
+                assert least > 0 and all(holds[least:]), (claim, alpha)
+                assert verify._claim_least_d(claim, alpha) == least, (claim, alpha)
+                assert not any(predicate(alpha, k - 1, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha) for d in degrees)
 
     @pytest.mark.parametrize("r", (5, 6, 7, 10))
     def test_partner_check_reads_the_patched_profile(self, monkeypatch, r):
@@ -554,6 +641,27 @@ class TestSplits:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
             verify.verify_splits(-1, 5, 2)
+
+    def test_refuses_exactly_the_grids_without_a_class(self):
+        # A grid with no smooth irreducible class of genus >= 2 would
+        # check only the canonical splits and pass.
+        def checked(total):
+            return surfaces.smooth_irreducible_exists(total) and surfaces.arith_genus(total) >= 2
+
+        for a_max in range(8):
+            for b_max in range(20):
+                for e_max in range(4):
+                    empty = not any(
+                        checked(DivisorClass(a, b, e))
+                        for e in range(e_max + 1)
+                        for a in range(2, a_max + 1)
+                        for b in range(b_max + 1)
+                    )
+                    if empty:
+                        with pytest.raises(ValueError, match="no class"):
+                            verify.check_splits_args(a_max, b_max, e_max)
+                    else:
+                        verify.check_splits_args(a_max, b_max, e_max)
 
 
 class TestMutationDetection:
