@@ -33,9 +33,8 @@ class CurveClass:
 class CastelnuovoProfile(NamedTuple):
     """Division data and the second/third maximal-genus bounds at (d, alpha).
 
-    m1 = floor((d-1)/alpha), eps1 = d-1 - m1*alpha, and mu1 = 1 exactly when
-    eps1 = alpha-1; m2/eps2 are the same for divisor alpha+1, with mu2 = 2
-    when eps2 = alpha, 1 when alpha-2 <= eps2 <= alpha-1, else 0.  pi1 and
+    m1 = floor((d-1)/alpha), eps1 = d-1 - m1*alpha; m2/eps2 are the same
+    for divisor alpha+1; mu1 and mu2 are their corrections (mu).  pi1 and
     pi2 are the genus bounds built from them.
     """
 
@@ -81,6 +80,16 @@ def max_genus_pi(d: int, r: int) -> int:
     return m * (m - 1) // 2 * (r - 1) + m * eps
 
 
+def mu(eps: int, alpha: int, first: bool) -> int:
+    """The Castelnuovo correction of remainder eps at series dimension
+    alpha: in the first convention (divisor alpha) 1 exactly when
+    eps = alpha-1; in the second (divisor alpha+1) 2 when eps = alpha,
+    1 when alpha-2 <= eps <= alpha-1, else 0."""
+    if first:
+        return 1 if eps == alpha - 1 else 0
+    return 2 if eps == alpha else 1 if eps >= alpha - 2 else 0
+
+
 @lru_cache(maxsize=None)
 def castelnuovo_profile(d: int, alpha: int) -> CastelnuovoProfile:
     """Profile (m1, eps1, mu1, pi1, m2, eps2, mu2, pi2) at degree d, series dim alpha.
@@ -95,40 +104,12 @@ def castelnuovo_profile(d: int, alpha: int) -> CastelnuovoProfile:
     if d < alpha + 2:
         raise ValueError(f"need d >= alpha + 2, got d={d}, alpha={alpha}")
     m1, eps1 = divmod(d - 1, alpha)
-    mu1 = 1 if eps1 == alpha - 1 else 0
+    mu1 = mu(eps1, alpha, True)
     pi1 = m1 * (m1 - 1) // 2 * alpha + m1 * (eps1 + 1) + mu1
     m2, eps2 = divmod(d - 1, alpha + 1)
-    if eps2 == alpha:
-        mu2 = 2
-    elif eps2 >= alpha - 2:
-        mu2 = 1
-    else:
-        mu2 = 0
+    mu2 = mu(eps2, alpha, False)
     pi2 = m2 * (m2 - 1) // 2 * (alpha + 1) + m2 * (eps2 + 2) + mu2
     return CastelnuovoProfile(alpha, m1, eps1, mu1, pi1, m2, eps2, mu2, pi2)
-
-
-def agh_cap(d: int, g: int, rho_dim: int) -> int:
-    """Upper bound for the dimension of a positive-dimensional W^r_d locus.
-
-    d - 3r + 1 when d <= g, else 2d - 3r - g + 1 (the two branches agree at
-    d = g).  A value <= 0 signals that dim W >= 1 is infeasible.
-    """
-    if rho_dim < 1:
-        raise ValueError(f"series dimension must be >= 1, got {rho_dim}")
-    if d <= g:
-        return d - 3 * rho_dim + 1
-    return 2 * d - 3 * rho_dim - g + 1
-
-
-def embed_dim_cap(d: int, g: int) -> int:
-    """Largest ambient dimension of a smooth nondegenerate model of (d, g).
-
-    floor((d+1)/3) when d <= g, else floor((2d-g+1)/3).
-    """
-    if d <= g:
-        return (d + 1) // 3
-    return (2 * d - g + 1) // 3
 
 
 def quadric_types(d: int, g: int) -> list[tuple[int, int]]:

@@ -73,7 +73,7 @@ def build_query_report(d: int, g: int, r: int) -> dict:
         profile = bounds.castelnuovo_profile(d, r)
         invariants["pi1"] = profile.pi1
         invariants["pi2"] = profile.pi2
-    invariants["embed_cap"] = bounds.embed_dim_cap(d, g)
+    invariants["embed_cap"] = sieve.embed_dim_cap(d, g)
     report = {
         "schema": SCHEMA,
         "command": "query",

@@ -41,8 +41,9 @@ class Ineq(enum.Enum):
     """The four derived inequalities obtained by substituting the genus
     caps into the case systems (7/9 via pi1, 8/10 via pi2).  first: 7/9
     read the first profile (m1, eps1, mu1; divisor alpha) and are strict,
-    8/10 the second (divisor alpha + 1) and are not.  on_i: 7/8 read the
-    side variable i, 9/10 j.  partner: 7 with 8, 9 with 10 (same case)."""
+    8/10 the second (divisor alpha + 1) and are not.  case: the source
+    case, CASE1 for 7/8 (side variable i), CASE2 for 9/10 (j).
+    partner: 7 with 8, 9 with 10 (same case)."""
 
     INEQ7 = "ineq7"
     INEQ8 = "ineq8"
@@ -52,7 +53,7 @@ class Ineq(enum.Enum):
     def __init__(self, value: str) -> None:
         number = int(value[4:])
         self.first = number % 2 == 1
-        self.on_i = number <= 8
+        self.case = SieveCase.CASE1 if number <= 8 else SieveCase.CASE2
         self._partner_value = f"ineq{number + 1 if self.first else number - 1}"
 
     @property
@@ -153,16 +154,24 @@ def case_slack(case: SieveCase, d: int, g: int, r: int, alpha: int) -> int:
     return (r - 3) * g - (r + 1) * (d - alpha) + 3
 
 
-def _cap_numerator(case: SieveCase, d: int, g: int) -> int:
+def cap_numerator(case: SieveCase, d: int, g: int) -> int:
     """3 * alpha is at most this: d + 1, d, 2d - g + 1, 2d - g for
-    cases 1..4 respectively."""
+    cases 1..4 respectively, from the series-locus bound.  Less 3*alpha
+    it is the case's side variable (i in case 1, j in case 2), which
+    must be >= 0.  Cases 1/2 read no g."""
     return (d if case.below else 2 * d - g) + case.index % 2
 
 
 def alpha_cap(case: SieveCase, d: int, g: int) -> int:
-    """Largest alpha allowed by the case: floor of (d+1)/3, d/3,
-    (2d-g+1)/3, (2d-g)/3 for cases 1..4 respectively."""
-    return _cap_numerator(case, d, g) // 3
+    """Largest alpha allowed by the case: cap_numerator floored by 3."""
+    return cap_numerator(case, d, g) // 3
+
+
+def embed_dim_cap(d: int, g: int) -> int:
+    """Largest ambient dimension of a smooth nondegenerate model of
+    (d, g): the case-1 alpha cap when d <= g, else the case-3 one (the
+    two agree at d = g)."""
+    return alpha_cap(SieveCase.CASE1 if d <= g else SieveCase.CASE3, d, g)
 
 
 def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
@@ -242,14 +251,16 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     windows = [(case, lo, hi) for case, _, _, lo, hi in _case_windows(d, r, g, g)]
     if not windows:
         return
+    i_top = cap_numerator(SieveCase.CASE1, d, g)
+    j_top = cap_numerator(SieveCase.CASE2, d, g)
     for alpha in range(min(w[1] for w in windows), max(w[2] for w in windows) + 1):
         if not genus_caps_ok(d, g, alpha):
             continue
         profile = bounds.castelnuovo_profile(d, alpha)
-        i = d + 1 - 3 * alpha
+        i, j = i_top - 3 * alpha, j_top - 3 * alpha
         for case, lo, hi in windows:
             if lo <= alpha <= hi:
-                yield SieveWitness(alpha, case, i, i - 1, profile, case_slack(case, d, g, r, alpha))
+                yield SieveWitness(alpha, case, i, j, profile, case_slack(case, d, g, r, alpha))
 
 
 def _check_domain(d: int, r: int) -> None:
@@ -273,7 +284,7 @@ def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
         return _OUT_OF_SCOPE_G0
     if g < least_special_genus(d):
         return _EXCLUDED_NON_SPECIAL
-    if bounds.embed_dim_cap(d, g) < r:
+    if embed_dim_cap(d, g) < r:
         return _EXCLUDED_NO_ALPHA
     return None
 
@@ -341,7 +352,7 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         per_alpha = case_slack(case, d, 0, r, 1) - at_zero
         # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
         # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
-        cap_top = None if case.below else _cap_numerator(case, d, 0)
+        cap_top = None if case.below else cap_numerator(case, d, 0)
         spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
     if not spans:
         return
@@ -400,26 +411,19 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
     (r-3)/2 half-integer coefficient).
 
     INEQ7/INEQ9 take (m, eps, mu) in the alpha-division convention
-    (0 <= eps <= alpha-1, mu = [eps == alpha-1]) and are satisfied when
-    the value is > 0; INEQ8/INEQ10 take the (alpha+1)-division convention
-    (0 <= eps <= alpha, mu in {0,1,2} by the three-way split) and are
-    satisfied when >= 0.
+    (0 <= eps <= alpha-1) and are satisfied when the value is > 0;
+    INEQ8/INEQ10 take the (alpha+1)-division convention (0 <= eps <=
+    alpha) and are satisfied when >= 0.  mu must be bounds.mu of eps
+    in the convention.
     """
     if alpha < 8:
         raise ValueError(f"need alpha >= 8, got {alpha}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if which.first:
-        if not 0 <= eps <= alpha - 1:
-            raise ValueError(f"eps={eps} out of range for alpha={alpha}")
-        if mu != (1 if eps == alpha - 1 else 0):
-            raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
-    else:
-        if not 0 <= eps <= alpha:
-            raise ValueError(f"eps={eps} out of range for alpha={alpha}")
-        expected = 2 if eps == alpha else (1 if eps >= alpha - 2 else 0)
-        if mu != expected:
-            raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
+    if not 0 <= eps <= (alpha - 1 if which.first else alpha):
+        raise ValueError(f"eps={eps} out of range for alpha={alpha}")
+    if mu != bounds.mu(eps, alpha, which.first):
+        raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
 
     if which is Ineq.INEQ7:
         return (
@@ -537,32 +541,33 @@ def r3_genera(d: int) -> range:
 def r3_sieve(d: int, g: int) -> Verdict:
     """The r = 3 exclusion chain on the reduced range g >= 5, d <= g.
 
-    A configuration survives if 4d <= 4*alpha + 25 for some
-    3 <= alpha <= (d+1)/3 (zero-dimensional branch), or
-    4d <= cap + 4*alpha + 25 for some 3 <= alpha <= d/3 whose
-    positive-dimension cap is >= 1.  Witnesses carry branch and slack.
+    A configuration survives if 4d <= 4*alpha + 25 for some alpha from 3
+    to the case-1 alpha cap (zero-dimensional branch), or
+    4d <= i + 4*alpha + 25 for some alpha from 3 to the case-2 alpha
+    cap, i being the case-1 side variable, which bounds the dimension of
+    the series locus (positive-dimensional branch).  Witnesses carry
+    branch and slack.
     """
     if g < 5:
         raise ValueError(f"r = 3 sieve requires g >= 5, got {g}")
     if d > g:
         raise ValueError(f"r = 3 sieve requires d <= g, got d={d}, g={g}")
     found: list[R3Witness] = []
+    top = alpha_cap(SieveCase.CASE1, d, g)
+    i_top = cap_numerator(SieveCase.CASE1, d, g)
     # Both slacks increase by at least 1 per unit of alpha, so each branch
-    # fires exactly on an upper interval of its alpha range.
+    # fires exactly on an upper interval of its alpha range.  Up to the
+    # case-2 cap i >= 1, as the positive-dimensional branch needs.
     lo = max(3, -(-(4 * d - 25) // 4))
-    for alpha in range(lo, (d + 1) // 3 + 1):
+    for alpha in range(lo, top + 1):
         found.append(R3Witness(alpha, "dim-w-0", 4 * alpha + 25 - 4 * d))
     lo = max(3, 3 * d - 26)
-    for alpha in range(lo, d // 3 + 1):
-        cap = bounds.agh_cap(d, g, alpha)
-        if cap < 1:
-            continue
-        slack = cap + 4 * alpha + 25 - 4 * d
-        if slack >= 0:
-            found.append(R3Witness(alpha, "dim-w-pos", slack))
+    for alpha in range(lo, alpha_cap(SieveCase.CASE2, d, g) + 1):
+        i = i_top - 3 * alpha
+        found.append(R3Witness(alpha, "dim-w-pos", i + 4 * alpha + 25 - 4 * d))
     if found:
         return Verdict(SURVIVORS, tuple(found))
-    if (d + 1) // 3 < 3:
+    if top < 3:
         return _EXCLUDED_NO_ALPHA
     return _EXCLUDED_INFEASIBLE
 

@@ -103,8 +103,9 @@ def check_case34_args(r_lo: int, r_hi: int, d_max: int) -> None:
     """Raise ValueError unless verify_case34_never accepts these bounds."""
     if r_lo < 4 or r_lo > r_hi:
         raise ValueError(f"need 4 <= r_lo <= r_hi, got ({r_lo}, {r_hi})")
-    if d_max < 1:
-        raise ValueError(f"need d_max >= 1, got {d_max}")
+    # g runs over 2..d, so d_max = 1 would pass with nothing checked.
+    if d_max < 2:
+        raise ValueError(f"need d_max >= 2, got {d_max}")
 
 
 def verify_case34_never(r_lo: int, r_hi: int, d_max: int) -> VerificationReport:
@@ -182,7 +183,7 @@ def verify_thm41(r: int, d_max: int, honor_exception: bool = True) -> Verificati
 # The per-r consequences claimed for each derived inequality.  Each entry
 # (which, K, c, op, a, b) claims "m >= K and c*v op a*alpha + b", where m
 # is the inequality's own quotient (m1 or m2, by which.first) and v its
-# source case's side variable (i or j, by which.on_i; see _side).
+# source case's side variable (i or j, by which.case; see _side).
 _DERIVED_CLAIMS: dict[int, list] = {
     4: [(Ineq.INEQ7, 9, 1, ">=", 7, 1), (Ineq.INEQ9, 8, 2, ">=", 11, -2), (Ineq.INEQ10, 8, 2, ">=", 11, 12)],
     5: [
@@ -202,14 +203,15 @@ _DERIVED_CLAIMS: dict[int, list] = {
 
 def _side(which: Ineq, alpha: int, d: int) -> int:
     """The side variable of the inequality's source case, which must be
-    >= 0: i = d + 1 - 3*alpha for INEQ7/INEQ8, else j = d - 3*alpha."""
-    return d + 1 - 3 * alpha if which.on_i else d - 3 * alpha
+    >= 0: i of case 1 for INEQ7/INEQ8, else j of case 2.  Neither case
+    reads g in its alpha-cap numerator, so g = 0 is passed."""
+    return sieve.cap_numerator(which.case, d, 0) - 3 * alpha
 
 
 def _claim_text(claim: tuple) -> str:
     """The claim as reports print it, e.g. "m1 >= 8 and 2j >= 11a-2"."""
     which, k, c, op, a, b = claim
-    v = "i" if which.on_i else "j"
+    v = "i" if which.case is SieveCase.CASE1 else "j"
     lhs = v if c == 1 else f"{c}{v}"
     rhs = str(b) if a == 0 else f"{'' if a == 1 else a}a{b:+d}"
     return f"{'m1' if which.first else 'm2'} >= {k} and {lhs} {op} {rhs}"
@@ -231,9 +233,7 @@ def _claim_holds(claim: tuple, alpha: int, m: int, d: int) -> bool:
 def _mus(which: Ineq, alpha: int) -> list:
     """mu for each eps in the division convention of the inequality:
     eps in 0..alpha-1 for INEQ7/INEQ9, 0..alpha for INEQ8/INEQ10."""
-    if which.first:
-        return [0] * (alpha - 1) + [1]
-    return [0] * (alpha - 2) + [1, 1, 2]
+    return [bounds.mu(eps, alpha, which.first) for eps in range(alpha if which.first else alpha + 1)]
 
 
 def _least_eps(which: Ineq, alpha: int, m: int) -> int:
@@ -291,7 +291,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     with a second-profile denominator of 2 passing the tenth inequality
     and compares it against the two known points; for r = 4 the claims
     are re-checked through a direct (d, alpha) enumeration and the two
-    encodings are cross-asserted.
+    encodings are cross-asserted.  A profile whose (eps, mu) breaks its
+    division convention there is a violation of its own, and the
+    enumeration goes on past that (alpha, d).
     """
     check_derived_args(r, alpha_max, m_max)
     alpha_lo = max(8, r)
@@ -378,18 +380,21 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                 # Each inequality is evaluated at most once per (alpha, d),
                 # and only when a claim that fails there reaches it.
                 holds = {}
-                for claim, which, partner in claims:
-                    m = which.division(prof)[0]
-                    if m > m_max or _side(which, alpha, d) < 0 or _claim_holds(claim, alpha, m, d):
-                        continue
-                    for ineq in (which, partner):
-                        if ineq not in holds:
-                            value = sieve.derived_slack(ineq, r, alpha, *ineq.division(prof))
-                            holds[ineq] = sieve.derived_satisfied(ineq, value)
-                        if not holds[ineq]:
-                            break
-                    else:
-                        cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
+                try:
+                    for claim, which, partner in claims:
+                        m = which.division(prof)[0]
+                        if m > m_max or _side(which, alpha, d) < 0 or _claim_holds(claim, alpha, m, d):
+                            continue
+                        for ineq in (which, partner):
+                            if ineq not in holds:
+                                value = sieve.derived_slack(ineq, r, alpha, *ineq.division(prof))
+                                holds[ineq] = sieve.derived_satisfied(ineq, value)
+                            if not holds[ineq]:
+                                break
+                        else:
+                            cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
+                except ValueError as exc:
+                    report.violations.append({"check": "profile convention", "d": d, "alpha": alpha, "error": str(exc)})
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
@@ -425,10 +430,11 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """Check the three steps of the high-r exclusion over d <= d_max,
     g in [2, 2d]:
 
-    (a) any slack-feasible alpha at or above the boundary (ceil(d/3) for
-        the d < g cases, ceil((2d-g)/3) for the d >= g cases) has second
-        profile with denominator count 2, correction 0, and second genus
-        cap at most d resp. g-1 — hence is cap-excluded;
+    (a) any slack-feasible alpha at or above the boundary (3*alpha at
+        least the case-2 alpha-cap numerator for the d < g cases, the
+        case-4 one for the d >= g cases) has second profile with
+        denominator count 2, correction 0, and second genus cap at most
+        d resp. g-1 — hence is cap-excluded;
     (b) every surviving witness at interior alpha satisfies the per-case
         degree bound in terms of g;
     (c) no survivor lies in the theorem's hypothesis range.
@@ -443,6 +449,9 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     }
     survivors = 0
     for d in range(1, d_max + 1):
+        # (a)'s boundary; the case-4 numerator is above_top - g.
+        below_top = sieve.cap_numerator(SieveCase.CASE2, d, 0)
+        above_top = sieve.cap_numerator(SieveCase.CASE4, d, 0)
         # g in [2, 2d] with d <= 2g - 2
         report.checked += len(range(sieve.least_special_genus(d), 2 * d + 1))
         # Violations keyed by (g, case index, part, alpha), sorted at
@@ -457,9 +466,9 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                 fired[case].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
             if case.below:
-                a_lo = g_lo if 3 * alpha >= d else g_hi + 1
+                a_lo = g_lo if 3 * alpha >= below_top else g_hi + 1
             else:
-                a_lo = max(g_lo, 2 * d - 3 * alpha)
+                a_lo = max(g_lo, above_top - 3 * alpha)
             if a_lo > g_hi:
                 continue
             prof = bounds.castelnuovo_profile(d, alpha)
@@ -594,8 +603,9 @@ def verify_thm_r3(d_max: int) -> VerificationReport:
     for d in range(3, d_max + 1):
         genera = sieve.r3_genera(d)
         report.checked += len(genera)
-        # The grid has d <= g, where agh_cap is d - 3*alpha + 1 and reads
-        # no g: the chain gives every g of a degree the same verdict.
+        # The grid has d <= g, where the chain reads only the case-1/2
+        # alpha-cap numerators, which read no g: it gives every g of a
+        # degree the same verdict.
         if not genera or not sieve.r3_sieve(d, genera[0]).is_survivor:
             continue
         for g in genera:

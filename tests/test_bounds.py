@@ -118,32 +118,17 @@ class TestCastelnuovoProfile:
         assert (p.m1, p.eps1, p.mu1, p.pi1) == (3, 2, 0, 36)
         assert (p.m2, p.eps2, p.mu2, p.pi2) == (2, 9, 2, 34)
 
+    def test_mu_conventions(self):
+        # The first convention divides by alpha, the second by alpha + 1.
+        for alpha in range(3, 40):
+            assert [bounds.mu(eps, alpha, True) for eps in range(alpha)] == [0] * (alpha - 1) + [1]
+            assert [bounds.mu(eps, alpha, False) for eps in range(alpha + 1)] == [0] * (alpha - 2) + [1, 1, 2]
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             bounds.castelnuovo_profile(4, 2)
         with pytest.raises(ValueError):
             bounds.castelnuovo_profile(4, 3)
-
-
-class TestSeriesCaps:
-    def test_agh_cap_formulas(self):
-        for d in range(2, 60):
-            for g in range(1, 60):
-                for rho_dim in (1, 2, 3):
-                    want = (
-                        d - 3 * rho_dim + 1 if d <= g else 2 * d - 3 * rho_dim - g + 1
-                    )
-                    assert bounds.agh_cap(d, g, rho_dim) == want
-
-    def test_agh_cap_spots(self):
-        assert bounds.agh_cap(9, 12, 3) == 1
-        assert bounds.agh_cap(30, 20, 8) == 17
-
-    def test_embed_dim_cap(self):
-        for d in range(1, 80):
-            for g in range(0, 80):
-                want = (d + 1) // 3 if d <= g else (2 * d - g + 1) // 3
-                assert bounds.embed_dim_cap(d, g) == want
 
 
 class TestQuadricTypes:

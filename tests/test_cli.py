@@ -443,6 +443,12 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
+    def test_case34_without_a_genus_exits_2(self, capsys):
+        # g runs over 2..d, so --d-max 1 leaves nothing to check.
+        code, out, err = run(capsys, "verify", "case34", "--d-max", "1")
+        assert code == 2
+        assert out == "" and "need d_max >= 2" in err
+
     @pytest.mark.parametrize("d_max", ["0", "11"])
     def test_all_checks_every_bound_before_running(self, capsys, monkeypatch, d_max):
         # --d-max 11 suits thm41 at r = 4..9 but not at r = 10.

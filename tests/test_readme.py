@@ -1,15 +1,20 @@
-"""The README's library quick tour, run as a doctest.
+"""The README's library quick tour, run as a doctest, and the module
+names the README cites.
 
-`python -m doctest README.md` cannot run it, since the closing fence
-reads as expected output of the last example; so the fenced `python`
-block is extracted and run on its own.
+`python -m doctest README.md` cannot run the tour, since the closing
+fence reads as expected output of the last example; so the fenced
+`python` block is extracted and run on its own.
 """
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# A module-qualified name such as `sieve.scan`, not preceded by a word
+# character or a dot (so not `rigidity_sieve.bounds`).
+CITED_NAME = re.compile(r"(?<![\w.])(bounds|sieve|verify|cli|surfaces)\.([A-Za-z_]\w*)")
 
 
 def test_quick_tour_runs():
@@ -20,3 +25,10 @@ def test_quick_tour_runs():
     out = []
     failed, attempted = doctest.DocTestRunner().run(test, out=out.append)
     assert (failed, attempted) == (0, len(test.examples)), "".join(out)
+
+
+def test_cited_module_names_resolve():
+    cited = sorted(set(CITED_NAME.findall(README.read_text(encoding="utf-8"))))
+    assert len(cited) >= 20
+    missing = [f"{module}.{name}" for module, name in cited if not hasattr(importlib.import_module(f"rigidity_sieve.{module}"), name)]
+    assert missing == []

@@ -28,11 +28,21 @@ def naive_genus_caps_ok(d, g, alpha):
     return True
 
 
+def naive_embed_dim_cap(d, g):
+    """The embedding cap, spelled out."""
+    return (d + 1) // 3 if d <= g else (2 * d - g + 1) // 3
+
+
+def naive_series_locus_bound(d, g, alpha):
+    """The bound on the dimension of the series locus, spelled out."""
+    return d - 3 * alpha + 1 if d <= g else 2 * d - 3 * alpha - g + 1
+
+
 def naive_scan_config_list(d, g, r):
     """Definitional witness enumeration: every (alpha, case) from r to the
     embedding cap passing slack, the case alpha-cap and the genus caps."""
     out = []
-    emb = bounds.embed_dim_cap(d, g)
+    emb = naive_embed_dim_cap(d, g)
     for case in SieveCase:
         # cases 1/2 need d < g, cases 3/4 d >= g
         if (case in (SieveCase.CASE1, SieveCase.CASE2)) != (d < g):
@@ -54,7 +64,7 @@ def naive_r3_witnesses(d, g):
         if slack >= 0:
             out.append((alpha, "dim-w-0", slack))
     for alpha in range(3, d // 3 + 1):
-        cap = bounds.agh_cap(d, g, alpha)
+        cap = naive_series_locus_bound(d, g, alpha)
         if cap < 1:
             continue
         slack = cap + 4 * alpha + 25 - 4 * d
@@ -116,12 +126,14 @@ class TestCaseMachinery:
                 assert sieve.alpha_cap(SieveCase.CASE2, d, g) == d // 3
                 assert sieve.alpha_cap(SieveCase.CASE3, d, g) == (2 * d - g + 1) // 3
                 assert sieve.alpha_cap(SieveCase.CASE4, d, g) == (2 * d - g) // 3
+                numerators = [sieve.cap_numerator(case, d, g) for case in SieveCase]
+                assert numerators == [d + 1, d, 2 * d - g + 1, 2 * d - g]
 
     def test_case_alpha_range_is_the_slack_feasible_window(self):
         for r in (4, 9, 12):
             for d in range(1, 60):
                 for g in range(1, 2 * d + 2):
-                    cap = bounds.embed_dim_cap(d, g)
+                    cap = naive_embed_dim_cap(d, g)
                     for case in SieveCase:
                         lo, hi = sieve.case_alpha_range(case, d, g, r)
                         want = [
@@ -135,11 +147,11 @@ class TestCaseMachinery:
         for d in range(1, 120):
             for g in range(0, 2 * d + 3):
                 for case in SieveCase:
-                    assert sieve.alpha_cap(case, d, g) <= bounds.embed_dim_cap(d, g), (case, d, g)
+                    assert sieve.alpha_cap(case, d, g) <= naive_embed_dim_cap(d, g), (case, d, g)
 
     @given(d=st.integers(1, 2**63 - 1), g=st.integers(0, 2**63 - 1), case=st.sampled_from(SieveCase))
     def test_alpha_cap_never_exceeds_embedding_cap_at_large_inputs(self, d, g, case):
-        assert sieve.alpha_cap(case, d, g) <= bounds.embed_dim_cap(d, g)
+        assert sieve.alpha_cap(case, d, g) <= naive_embed_dim_cap(d, g)
 
     def test_genus_caps_pins(self):
         assert sieve.genus_caps_ok(30, 34, 9)
@@ -160,12 +172,36 @@ class TestCaseMachinery:
         assert prof.pi2 <= prof.pi1 - 1
 
 
+class TestSeriesCaps:
+    """The series-locus bound is the cap numerator of case 1 (d <= g) or
+    case 3 (d > g) less 3*alpha, and the embedding cap its alpha cap."""
+
+    @staticmethod
+    def series_locus_bound(d, g, alpha):
+        return sieve.cap_numerator(SieveCase.CASE1 if d <= g else SieveCase.CASE3, d, g) - 3 * alpha
+
+    def test_series_locus_bound_formulas(self):
+        for d in range(2, 60):
+            for g in range(1, 60):
+                for alpha in (1, 2, 3):
+                    assert self.series_locus_bound(d, g, alpha) == naive_series_locus_bound(d, g, alpha)
+
+    def test_series_locus_bound_spots(self):
+        assert self.series_locus_bound(9, 12, 3) == 1
+        assert self.series_locus_bound(30, 20, 8) == 17
+
+    def test_embed_dim_cap(self):
+        for d in range(1, 80):
+            for g in range(0, 80):
+                assert sieve.embed_dim_cap(d, g) == naive_embed_dim_cap(d, g)
+
+
 class TestScan:
     def test_matches_naive_oracle(self):
         for r in (4, 5, 7, 9, 12):
             for d in range(1, 70):
                 for g in range(2, 2 * d + 3):
-                    if d > 2 * g - 2 or bounds.embed_dim_cap(d, g) < r:
+                    if d > 2 * g - 2 or naive_embed_dim_cap(d, g) < r:
                         continue
                     verdict = sieve.scan(d, g, r)
                     got = [(w.alpha, w.case) for w in verdict.witnesses]
@@ -176,7 +212,7 @@ class TestScan:
     def test_matches_naive_oracle_on_random_inputs(self, data, d, r):
         g = data.draw(st.integers(0, 2 * d + 3), label="g")
         got = [(w.alpha, w.case, w.i, w.j, w.slack, w.profile) for w in sieve.scan(d, g, r).witnesses]
-        if g <= 1 or d > 2 * g - 2 or bounds.embed_dim_cap(d, g) < r:
+        if g <= 1 or d > 2 * g - 2 or naive_embed_dim_cap(d, g) < r:
             assert got == []
             return
         want = [
@@ -204,7 +240,7 @@ class TestScan:
         for r in (4, 9, 12):
             for d in range(1, 80):
                 for g in range(2, 2 * d + 3):
-                    if d > 2 * g - 2 or bounds.embed_dim_cap(d, g) < r:
+                    if d > 2 * g - 2 or naive_embed_dim_cap(d, g) < r:
                         continue
                     union = set()
                     for case in SieveCase:

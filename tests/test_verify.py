@@ -436,6 +436,19 @@ class TestDerivedClaims:
         assert rep.ok
         assert rep.audit["cross_encoding_violations"] == 0
 
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_r4_cross_loop_reports_an_inconsistent_profile(self, monkeypatch, shift):
+        # The cross loop hands the profile's (eps, mu) to derived_slack,
+        # which refuses a mu off the convention: that is a violation, and
+        # the suite goes on to the next degree.
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, 4, stricter_claims(4, shift))
+        monkeypatch.setattr(bounds, "castelnuovo_profile", drop_mu2_case)
+        rep = verify.verify_derived_claims(4, 30)
+        assert not rep.ok
+        bad = [v for v in rep.violations if v.get("check") == "profile convention"]
+        assert bad[0] == {"check": "profile convention", "d": 24, "alpha": 8, "error": "mu=1 inconsistent with eps=5, alpha=8"}
+        assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad) > 1
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             verify.verify_derived_claims(3, 20)
@@ -702,6 +715,67 @@ class TestMutationDetection:
         assert not sieve.scan(30, 34, 9).is_survivor
         assert sieve.witnesses_by_genus(30, 9, 40) != clean
         assert verify.verify_derived_claims(9, 60).audit["m2_eq_2_pairs"] == [(30, 34)]
+
+    def test_cap_numerator_lowered_by_1_reaches_every_reader(self, monkeypatch):
+        # Each reader of the alpha-cap numerator moves when one case's
+        # numerator is lowered by 1.
+        real = sieve.cap_numerator
+
+        def lower(lowered):
+            monkeypatch.setattr(sieve, "cap_numerator", lambda case, d, g: real(case, d, g) - (case is lowered))
+
+        witness = sieve.scan(30, 34, 9).witnesses[0]
+        r11_clean = verify.verify_r_ge_11(11, 80)
+        assert (witness.i, witness.j) == (4, 3)
+        assert (verify._side(Ineq.INEQ7, 9, 30), verify._side(Ineq.INEQ9, 9, 30)) == (4, 3)
+        assert (sieve.embed_dim_cap(29, 34), sieve.embed_dim_cap(30, 19)) == (10, 14)
+        assert not any(v["part"] == "a" for v in r11_clean.violations)
+        r3_clean = {d: sieve.r3_sieve(d, d) for d in (8, 9)}
+        assert r3_clean[8].witnesses == (sieve.R3Witness(3, "dim-w-0", 5),)
+        assert r3_clean[9].witnesses[-1] == sieve.R3Witness(3, "dim-w-pos", 2)
+
+        lower(SieveCase.CASE1)
+        witness = sieve.scan(30, 34, 9).witnesses[0]
+        assert (witness.i, witness.j) == (3, 3)
+        assert (verify._side(Ineq.INEQ7, 9, 30), verify._side(Ineq.INEQ9, 9, 30)) == (3, 3)
+        assert sieve.embed_dim_cap(29, 34) == 9
+        # The zero-dimensional branch's top and the no-alpha test, then
+        # the positive-dimensional branch's slack, which reads i.
+        assert sieve.r3_sieve(8, 8).reasons == (sieve.NO_ALPHA,)
+        assert sieve.r3_sieve(9, 9).witnesses[-1] == sieve.R3Witness(3, "dim-w-pos", 1)
+
+        lower(SieveCase.CASE2)
+        witness = sieve.scan(30, 34, 9).witnesses[0]
+        assert (witness.i, witness.j) == (4, 2)
+        assert (verify._side(Ineq.INEQ7, 9, 30), verify._side(Ineq.INEQ9, 9, 30)) == (4, 2)
+        # The positive-dimensional branch's top.
+        assert [w.branch for w in sieve.r3_sieve(9, 9).witnesses] == ["dim-w-0"]
+        # Lowering a numerator only narrows the case windows, so each
+        # part-(a) violation comes from the boundary moving down.
+        assert any(v["part"] == "a" for v in verify.verify_r_ge_11(11, 80).violations)
+
+        lower(SieveCase.CASE3)
+        assert sieve.embed_dim_cap(30, 19) == 13
+
+        lower(SieveCase.CASE4)
+        assert any(v["part"] == "a" for v in verify.verify_r_ge_11(11, 80).violations)
+
+    def test_mu_raised_at_eps_0_reaches_every_reader(self, monkeypatch):
+        # castelnuovo_profile, derived_slack's convention check and the
+        # derived suite's mu lists all read bounds.mu.
+        real = bounds.mu
+        profile = bounds.castelnuovo_profile.__wrapped__
+        # alpha = 8: d = 28 has eps2 = 0 (eps1 = 3), d = 33 eps1 = 0 (eps2 = 5).
+        assert [(profile(d, 8).mu1, profile(d, 8).mu2) for d in (28, 33)] == [(0, 0), (0, 0)]
+        sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 0)
+        clean_mus = {which: verify._mus(which, 8) for which in Ineq}
+        monkeypatch.setattr(bounds, "mu", lambda eps, alpha, first: real(eps, alpha, first) + (eps == 0))
+        assert [(profile(d, 8).mu1, profile(d, 8).mu2) for d in (28, 33)] == [(0, 1), (1, 0)]
+        with pytest.raises(ValueError, match="inconsistent"):
+            sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 0)
+        sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 1)
+        for which in Ineq:
+            assert verify._mus(which, 8) == [1] + clean_mus[which][1:]
 
     def test_pi1_off_by_one_reaches_sweep_rows(self, monkeypatch):
         clean = cli.run_sweep(7, 140)
