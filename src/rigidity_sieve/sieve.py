@@ -341,7 +341,9 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     the gates and the case split bound g below (cases 3/4 also above,
     by d), the slack is linear in g with coefficient r - 3 or r - 4,
     which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
-    alphas of a case are those of its _case_windows.
+    alphas of a case are those of its _case_windows, cut in cases 3/4
+    to those at which the slack's g floor is at most the alpha cap's g
+    ceiling; so no alpha yielded has an empty interval.
     """
     _check_domain(d, r)
     spans = []
@@ -353,6 +355,19 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
         # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
         cap_top = None if case.below else cap_numerator(case, d, 0)
+        if cap_top is not None and per_g:
+            # The slack's g floor, ceil(-(at_zero + per_alpha*alpha) / per_g),
+            # is at most cap_top - 3*alpha iff coef*alpha <= bound.
+            coef = 3 * per_g - per_alpha
+            bound = per_g * cap_top + at_zero
+            if coef > 0:
+                alpha_hi = min(alpha_hi, bound // coef)
+            elif coef < 0:
+                alpha_lo = max(alpha_lo, -(bound // -coef))
+            elif bound < 0:
+                continue
+            if alpha_lo > alpha_hi:
+                continue
         spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
     if not spans:
         return
@@ -362,16 +377,11 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top in spans:
             if not alpha_lo <= alpha <= alpha_hi:
                 continue
-            slack_at_zero = at_zero + per_alpha * alpha
-            if per_g:
-                g_lo = max(g_min, -(slack_at_zero // per_g))
-            elif slack_at_zero >= 0:
-                g_lo = g_min
-            else:
-                continue
+            # With per_g = 0 the slack reads no g, and alpha_lo already
+            # makes it >= 0.
+            g_lo = max(g_min, -((at_zero + per_alpha * alpha) // per_g)) if per_g else g_min
             g_hi = g_max if cap_top is None else min(g_max, cap_top - 3 * alpha)
-            if g_lo <= g_hi:
-                yield alpha, case, g_lo, g_hi
+            yield alpha, case, g_lo, g_hi
 
 
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
@@ -406,6 +416,16 @@ def witnesses_by_genus(d: int, r: int, g_top: int) -> dict:
     return dict(sorted(by_genus.items()))
 
 
+def check_division(which: Ineq, alpha: int, eps: int, mu: int) -> None:
+    """Raise ValueError unless eps is a remainder of the division
+    convention of the inequality (0..alpha-1 for INEQ7/INEQ9, 0..alpha
+    for INEQ8/INEQ10) and mu its correction, bounds.mu."""
+    if not 0 <= eps <= (alpha - 1 if which.first else alpha):
+        raise ValueError(f"eps={eps} out of range for alpha={alpha}")
+    if mu != bounds.mu(eps, alpha, which.first):
+        raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
+
+
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:
     """Twice the derived-inequality expression (doubling clears the
     (r-3)/2 half-integer coefficient).
@@ -414,16 +434,13 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
     (0 <= eps <= alpha-1) and are satisfied when the value is > 0;
     INEQ8/INEQ10 take the (alpha+1)-division convention (0 <= eps <=
     alpha) and are satisfied when >= 0.  mu must be bounds.mu of eps
-    in the convention.
+    in the convention (check_division).
     """
     if alpha < 8:
         raise ValueError(f"need alpha >= 8, got {alpha}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if not 0 <= eps <= (alpha - 1 if which.first else alpha):
-        raise ValueError(f"eps={eps} out of range for alpha={alpha}")
-    if mu != bounds.mu(eps, alpha, which.first):
-        raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
+    check_division(which, alpha, eps, mu)
 
     if which is Ineq.INEQ7:
         return (

@@ -224,10 +224,11 @@ def _claim_least_d(claim: tuple, alpha: int) -> int:
     return -(-(a * alpha + b + (op == ">")) // c) - _side(which, alpha, 0)
 
 
-def _claim_holds(claim: tuple, alpha: int, m: int, d: int) -> bool:
-    """Whether the claim holds at (alpha, d), m being the quotient of d
-    in the convention of the claim's inequality."""
-    return m >= claim[1] and d >= _claim_least_d(claim, alpha)
+def _claim_holds(claim: tuple, least_d: int, m: int, d: int) -> bool:
+    """Whether the claim holds at degree d of some alpha, least_d being
+    _claim_least_d at that alpha and m the quotient of d in the
+    convention of the claim's inequality."""
+    return m >= claim[1] and d >= least_d
 
 
 def _mus(which: Ineq, alpha: int) -> list:
@@ -292,8 +293,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     and compares it against the two known points; for r = 4 the claims
     are re-checked through a direct (d, alpha) enumeration and the two
     encodings are cross-asserted.  A profile whose (eps, mu) breaks its
-    division convention there is a violation of its own, and the
-    enumeration goes on past that (alpha, d).
+    division convention (sieve.check_division), read by either loop, is
+    a violation of its own, listed once per (alpha, d) at the end, and
+    the enumeration goes on past that tuple, resp. that (alpha, d).
     """
     check_derived_args(r, alpha_max, m_max)
     alpha_lo = max(8, r)
@@ -302,6 +304,8 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
         {"r": r, "alpha": f"{alpha_lo}..{alpha_max}", "m_max": m_max},
     )
     tuple_violations = []
+    # (alpha, d) -> the error of a profile that breaks its convention.
+    convention = {}
     for claim in _DERIVED_CLAIMS[r]:
         which, k = claim[:2]
         partner = which.partner
@@ -326,6 +330,11 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                         continue
                     d = m * q + eps + 1
                     m_p, eps_p, mu_p = partner.division(bounds.castelnuovo_profile(d, alpha))
+                    try:
+                        sieve.check_division(partner, alpha, eps_p, mu_p)
+                    except ValueError as exc:
+                        convention.setdefault((alpha, d), str(exc))
+                        continue
                     form = partner_forms.get(m_p)
                     if form is None:
                         form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
@@ -372,8 +381,13 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
 
     if r == 4:
         cross = []
-        claims = [(claim, claim[0], claim[0].partner) for claim in _DERIVED_CLAIMS[r]]
         for alpha in range(alpha_lo, alpha_max + 1):
+            # Per claim, read once per alpha: the least d with its side
+            # variable >= 0 (_side is d plus a constant) and its least d.
+            claims = [
+                (claim, claim[0], claim[0].partner, -_side(claim[0], alpha, 0), _claim_least_d(claim, alpha))
+                for claim in _DERIVED_CLAIMS[r]
+            ]
             # Up to the last degree of m = m_max in the m2 convention.
             for d in range(alpha + 2, (m_max + 1) * (alpha + 1) + 1):
                 prof = bounds.castelnuovo_profile(d, alpha)
@@ -381,9 +395,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                 # and only when a claim that fails there reaches it.
                 holds = {}
                 try:
-                    for claim, which, partner in claims:
+                    for claim, which, partner, side_d, least_d in claims:
                         m = which.division(prof)[0]
-                        if m > m_max or _side(which, alpha, d) < 0 or _claim_holds(claim, alpha, m, d):
+                        if m > m_max or d < side_d or _claim_holds(claim, least_d, m, d):
                             continue
                         for ineq in (which, partner):
                             if ineq not in holds:
@@ -394,7 +408,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                         else:
                             cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
                 except ValueError as exc:
-                    report.violations.append({"check": "profile convention", "d": d, "alpha": alpha, "error": str(exc)})
+                    convention.setdefault((alpha, d), str(exc))
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
         cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
@@ -406,6 +420,8 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                     "pair_only": sorted(cross_keys - primary_keys),
                 }
             )
+    for (alpha, d), error in sorted(convention.items()):
+        report.violations.append({"check": "profile convention", "d": d, "alpha": alpha, "error": error})
     return report
 
 
@@ -417,13 +433,30 @@ def check_r11_args(r: int, d_max: int) -> None:
         raise ValueError(f"need d_max >= 1, got {d_max}")
 
 
-def _covered(intervals) -> list:
-    """The distinct g of the (g_lo, g_hi) intervals, ascending."""
-    out, top = [], 0
+def _merged(intervals) -> list:
+    """The (g_lo, g_hi) intervals joined into disjoint, non-adjacent
+    [g_lo, g_hi] intervals with the same g, ascending."""
+    out = []
     for g_lo, g_hi in sorted(intervals):
-        out.extend(range(max(g_lo, top + 1), g_hi + 1))
-        top = max(top, g_hi)
+        if out and g_lo <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], g_hi)
+        else:
+            out.append([g_lo, g_hi])
     return out
+
+
+def r11_least_genus(case: SieveCase, d: int, r: int) -> int:
+    """The least g at which step (b)'s degree bound of the case holds at
+    degree d; it holds at every g from there up.  The bounds:
+
+        cases 1/2: 2(r+1)d <= 3(r-3)g - r + 8, resp. - r + 14
+        cases 3/4:  (r+1)d <= 2(r-5)g - r + 8, resp. - r + 14
+    """
+    if case.below:
+        num, den = 2 * (r + 1) * d, 3 * (r - 3)
+    else:
+        num, den = (r + 1) * d, 2 * (r - 5)
+    return -(-(num + r - (8 if case.index % 2 else 14)) // den)
 
 
 def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
@@ -436,17 +469,11 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         denominator count 2, correction 0, and second genus cap at most
         d resp. g-1 — hence is cap-excluded;
     (b) every surviving witness at interior alpha satisfies the per-case
-        degree bound in terms of g;
+        degree bound in terms of g (r11_least_genus);
     (c) no survivor lies in the theorem's hypothesis range.
     """
     check_r11_args(r, d_max)
     report = VerificationReport("r11", {"r": r, "d_max": d_max, "g": "2..2d"})
-    case_bounds = {
-        SieveCase.CASE1: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 8,
-        SieveCase.CASE2: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 14,
-        SieveCase.CASE3: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 8,
-        SieveCase.CASE4: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 14,
-    }
     survivors = 0
     for d in range(1, d_max + 1):
         # (a)'s boundary; the case-4 numerator is above_top - g.
@@ -457,13 +484,13 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []
-        fired = {case: [] for case in SieveCase}
+        fired = {case.index: [] for case in SieveCase}
         cap_alpha = cap = None
         for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
             if alpha != cap_alpha:
                 cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
             if g_lo <= cap:
-                fired[case].append((g_lo, min(g_hi, cap)))
+                fired[case.index].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
             if case.below:
                 a_lo = g_lo if 3 * alpha >= below_top else g_hi + 1
@@ -494,22 +521,23 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                     "pi2": prof.pi2,
                 }
                 found.append(((g, case.index, 0, alpha), violation))
-        # (b): the per-case degree bound is alpha-free, so it is tested
-        # once per g at which the case has a witness.  Each case's
-        # intervals are merged, not expanded per alpha as in
-        # sieve.witnesses_by_genus: r = 11 and 12 at d <= 400 have
-        # about 14 M (g, alpha, case) witnesses.
-        surviving = set()
-        for case, intervals in fired.items():
-            for g in _covered(intervals):
-                surviving.add(g)
-                if not case_bounds[case](d, g):
+        # (b): the per-case degree bound is alpha-free and fails exactly
+        # below the case's least genus, so only the g of the case's
+        # merged intervals below it are expanded.  r = 11 and 12 at
+        # d <= 400 have about 14 M (g, alpha, case) witnesses.
+        surviving = []
+        for case in SieveCase:
+            merged = _merged(fired[case.index])
+            surviving.extend(merged)
+            least = r11_least_genus(case, d, r)
+            for g_lo, g_hi in merged:
+                for g in range(g_lo, min(g_hi, least - 1) + 1):
                     found.append(((g, case.index, 1, 0), {"part": "b", "d": d, "g": g, "case": case.value}))
-        survivors += len(surviving)
-        # (c)
-        in_range = sieve.range_genera(d, r)
-        for g in surviving:
-            if g in in_range:
+        # (c): for r >= 11 the in-range g are 1..range_g_limit.
+        limit = sieve.range_g_limit(d, r)
+        for g_lo, g_hi in _merged(surviving):
+            survivors += g_hi - g_lo + 1
+            for g in range(g_lo, min(g_hi, limit) + 1):
                 found.append(((g, len(SieveCase) + 1, 2, 0), {"part": "c", "d": d, "g": g}))
         found.sort(key=lambda entry: entry[0])
         report.violations.extend(violation for _, violation in found)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, byte stability of JSON payloads, and the CSV row contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -413,6 +414,17 @@ class TestVerify:
         assert obj["ok"] is True
         assert obj["reports"][0]["suite"] == "r3"
         assert "elapsed_s" in obj["metadata"]
+
+    def test_all_matches_the_benchmark_reference(self, capsys):
+        # The recorded verify-all digest (JSON without metadata, as
+        # bench/workloads.py canonicalises it), read and never written.
+        references = json.loads((SRC.parent / "bench" / "references.json").read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("metadata")
+        canonical = (json.dumps(payload, indent=2) + "\n").encode()
+        assert hashlib.sha256(canonical).hexdigest() == references["verify-all"]
 
     def test_suite_requires_r(self, capsys):
         code, _, err = run(capsys, "verify", "thm41")

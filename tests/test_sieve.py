@@ -316,6 +316,39 @@ def expanded_intervals(d, r, top):
     return out
 
 
+def naive_window_intervals(d, r, top):
+    """window_intervals spelled out, before the genus caps: every
+    alpha >= r of every case, with the g <= top at which the gates pass,
+    the case applies, case_slack >= 0 and 3*alpha is at most
+    cap_numerator.  Both are linear in g, so each bound is read off
+    their values at g = 0 and 1.  Only non-empty intervals, in
+    (alpha, case) order."""
+    out = []
+    g_min = sieve.least_special_genus(d)
+    for case in SieveCase:
+        lo, hi = (max(g_min, d + 1), top) if case.below else (g_min, min(top, d))
+        cap_at0 = sieve.cap_numerator(case, d, 0)
+        per_g_cap = cap_at0 - sieve.cap_numerator(case, d, 1)
+        # The numerator does not rise with g, so no alpha above its
+        # value at lo has a g.
+        for alpha in range(r, sieve.cap_numerator(case, d, lo) // 3 + 1):
+            at0 = sieve.case_slack(case, d, 0, r, alpha)
+            per_g = sieve.case_slack(case, d, 1, r, alpha) - at0
+            cap0 = cap_at0 - 3 * alpha
+            g_lo, g_hi = lo, hi
+            if per_g:
+                g_lo = max(g_lo, -(at0 // per_g))
+            elif at0 < 0:
+                continue
+            if per_g_cap:
+                g_hi = min(g_hi, cap0 // per_g_cap)
+            elif cap0 < 0:
+                continue
+            if g_lo <= g_hi:
+                out.append((alpha, case, g_lo, g_hi))
+    return sorted(out, key=lambda entry: (entry[0], entry[1].index))
+
+
 def assert_intervals_match_scan(d, r, top):
     got = expanded_intervals(d, r, top)
     by_genus = sieve.witnesses_by_genus(d, r, top)
@@ -353,6 +386,19 @@ class TestGenusIntervals:
         got = expanded_intervals(d, r, 2 * d + 5)
         assert {(alpha, case) for case in cases} <= set(got[g])
         assert_intervals_match_scan(d, r, 2 * d + 5)
+
+    def test_window_intervals_match_the_naive_walk(self):
+        # Before the caps, which on the thm41 universe cut all window
+        # intervals but one, so an alpha bound that is too tight would
+        # not show through scan.  The cases-3/4 alpha bound has the
+        # coefficient 2r - 10; those cases have windows from r = 7 on
+        # (case 4 from r = 8), and there it binds.  At r = 4, 5 and 6,
+        # where it is negative, zero and positive, _case_windows already
+        # gives them none, so those r check cases 1/2 and the emptiness.
+        for r in (4, 5, 6, 7, 12):
+            for d in range(1, 301):
+                for top in (d - 1, d, 2 * d, sieve.range_g_limit(d, r)):
+                    assert list(sieve.window_intervals(d, r, top)) == naive_window_intervals(d, r, top), (d, r, top)
 
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
         profile_calls, pi_calls = [], []

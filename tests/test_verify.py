@@ -6,7 +6,7 @@ process, so the patched function is the one the sweep actually calls.
 """
 
 from collections import Counter
-from itertools import repeat
+from itertools import count, repeat
 
 import pytest
 from hypothesis import given
@@ -77,13 +77,18 @@ def naive_case34(r_lo, r_hi, d_max):
     return checked, violations, {}
 
 
-def naive_r11(r, d_max):
-    case_bounds = {
+def r11_case_bounds(r):
+    """Step (b)'s per-case degree bounds of the r11 suite, literally."""
+    return {
         SieveCase.CASE1: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 8,
         SieveCase.CASE2: lambda d, g: 2 * (r + 1) * d <= 3 * (r - 3) * g - r + 14,
         SieveCase.CASE3: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 8,
         SieveCase.CASE4: lambda d, g: (r + 1) * d <= 2 * (r - 5) * g - r + 14,
     }
+
+
+def naive_r11(r, d_max):
+    case_bounds = r11_case_bounds(r)
     checked, violations, survivors = 0, [], 0
     for d in range(1, d_max + 1):
         in_range = sieve.range_genera(d, r)
@@ -305,7 +310,7 @@ def expected_derived_reads(r, alpha_max, m_max):
             failing_m, partner_m = set(), set()
             for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
                 side = d + 1 - 3 * alpha if which in (Ineq.INEQ7, Ineq.INEQ8) else d - 3 * alpha
-                if d < alpha + 2 or side < 0 or verify._claim_holds(claim, alpha, m, d):
+                if d < alpha + 2 or side < 0 or verify._claim_holds(claim, verify._claim_least_d(claim, alpha), m, d):
                     continue
                 failing_m.add(m)
                 if sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, m, eps, mu)):
@@ -449,6 +454,27 @@ class TestDerivedClaims:
         assert bad[0] == {"check": "profile convention", "d": 24, "alpha": 8, "error": "mu=1 inconsistent with eps=5, alpha=8"}
         assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad) > 1
 
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_drop_mu2_case_reaches_the_convention_checks(self, monkeypatch, r):
+        # The primary loop checks the partner's (eps, mu) before its form
+        # is read.  drop_mu2_case corrupts only the second convention,
+        # which the claims of r = 8, 9 never read as a partner, and the
+        # claims of r = 6, 7 read no partner at all on alpha <= 30: the
+        # suite passes there under the mutation.  With every K raised by
+        # 1, r = 6 and 7 read second-convention partners too.
+        monkeypatch.setattr(bounds, "castelnuovo_profile", drop_mu2_case)
+        for shift, failing in ((0, {4, 5, 10}), (1, {4, 5, 6, 7, 10})):
+            monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r, shift))
+            rep = verify.verify_derived_claims(r, 30)
+            bad = [v for v in rep.violations if v.get("check") == "profile convention"]
+            assert bool(bad) == (r in failing), shift
+            assert rep.ok == (shift == 0 and r not in failing), shift
+            assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad)
+        if r == 5:
+            monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r, 0))
+            bad = [v for v in verify.verify_derived_claims(r, 30).violations if v.get("check") == "profile convention"]
+            assert bad[0] == {"check": "profile convention", "d": 46, "alpha": 8, "error": "mu=1 inconsistent with eps=0, alpha=8"}
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             verify.verify_derived_claims(3, 20)
@@ -545,7 +571,7 @@ class TestDerivedClaims:
                 j_values = range(degrees.start - 3 * alpha, degrees.stop - 3 * alpha)
                 for m in range(30):
                     want = list(map(predicate, repeat(alpha), repeat(m), repeat(0), repeat(0), i_values, j_values))
-                    got = list(map(verify._claim_holds, repeat(claim), repeat(alpha), repeat(m), degrees))
+                    got = list(map(verify._claim_holds, repeat(claim), repeat(verify._claim_least_d(claim, alpha)), repeat(m), degrees))
                     assert got == want, (claim, alpha, m)
 
     def test_claim_coefficients_are_positive(self):
@@ -608,6 +634,14 @@ class TestHighR:
     def test_rejects_low_r(self):
         with pytest.raises(ValueError):
             verify.verify_r_ge_11(10, 50)
+
+    def test_least_genus_is_where_the_degree_bound_starts(self):
+        # Step (b) expands only the g below each case's least genus.
+        for r in range(11, 21):
+            for case, holds in r11_case_bounds(r).items():
+                for d in range(1, 401):
+                    first = next(g for g in count() if holds(d, g))
+                    assert verify.r11_least_genus(case, d, r) == first, (case, d, r)
 
 
 class TestR5Window:
