@@ -470,10 +470,8 @@ class TestDerivedClaims:
             assert bool(bad) == (r in failing), shift
             assert rep.ok == (shift == 0 and r not in failing), shift
             assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad)
-        if r == 5:
-            monkeypatch.setitem(verify._DERIVED_CLAIMS, r, stricter_claims(r, 0))
-            bad = [v for v in verify.verify_derived_claims(r, 30).violations if v.get("check") == "profile convention"]
-            assert bad[0] == {"check": "profile convention", "d": 46, "alpha": 8, "error": "mu=1 inconsistent with eps=0, alpha=8"}
+            if (r, shift) == (5, 0):
+                assert bad[0] == {"check": "profile convention", "d": 48, "alpha": 8, "error": "mu=1 inconsistent with eps=2, alpha=8"}
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
