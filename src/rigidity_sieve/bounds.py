@@ -35,7 +35,7 @@ class CastelnuovoProfile(NamedTuple):
 
     m1 = floor((d-1)/alpha), eps1 = d-1 - m1*alpha; m2/eps2 are the same
     for divisor alpha+1; mu1 and mu2 are their corrections (mu).  pi1 and
-    pi2 are the genus bounds built from them.
+    pi2 are the genus bounds built from them (castelnuovo_bound).
     """
 
     alpha: int
@@ -90,6 +90,16 @@ def mu(eps: int, alpha: int, first: bool) -> int:
     return 2 if eps == alpha else 1 if eps >= alpha - 2 else 0
 
 
+def castelnuovo_bound(m: int, eps: int, mu: int, alpha: int, first: bool) -> int:
+    """The genus bound pi1 (first: divisor q = alpha) or pi2 (divisor
+    q = alpha + 1) of a degree d with d - 1 = m*q + eps and correction
+    mu: C(m, 2)*q + m*(eps + 1) + mu, plus m in the second convention.
+    This is the one encoding of the pi1/pi2 formula."""
+    if first:
+        return m * (m - 1) // 2 * alpha + m * (eps + 1) + mu
+    return m * (m - 1) // 2 * (alpha + 1) + m * (eps + 2) + mu
+
+
 @lru_cache(maxsize=None)
 def castelnuovo_profile(d: int, alpha: int) -> CastelnuovoProfile:
     """Profile (m1, eps1, mu1, pi1, m2, eps2, mu2, pi2) at degree d, series dim alpha.
@@ -105,10 +115,10 @@ def castelnuovo_profile(d: int, alpha: int) -> CastelnuovoProfile:
         raise ValueError(f"need d >= alpha + 2, got d={d}, alpha={alpha}")
     m1, eps1 = divmod(d - 1, alpha)
     mu1 = mu(eps1, alpha, True)
-    pi1 = m1 * (m1 - 1) // 2 * alpha + m1 * (eps1 + 1) + mu1
+    pi1 = castelnuovo_bound(m1, eps1, mu1, alpha, True)
     m2, eps2 = divmod(d - 1, alpha + 1)
     mu2 = mu(eps2, alpha, False)
-    pi2 = m2 * (m2 - 1) // 2 * (alpha + 1) + m2 * (eps2 + 2) + mu2
+    pi2 = castelnuovo_bound(m2, eps2, mu2, alpha, False)
     return CastelnuovoProfile(alpha, m1, eps1, mu1, pi1, m2, eps2, mu2, pi2)
 
 

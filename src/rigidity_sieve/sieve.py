@@ -43,7 +43,8 @@ class Ineq(enum.Enum):
     read the first profile (m1, eps1, mu1; divisor alpha) and are strict,
     8/10 the second (divisor alpha + 1) and are not.  case: the source
     case, CASE1 for 7/8 (side variable i), CASE2 for 9/10 (j).
-    partner: 7 with 8, 9 with 10 (same case)."""
+    partner: 7 with 8, 9 with 10 (same case).  number: 7..10, a key
+    that hashes in C, where a member hashes by a Python-level call."""
 
     INEQ7 = "ineq7"
     INEQ8 = "ineq8"
@@ -51,7 +52,7 @@ class Ineq(enum.Enum):
     INEQ10 = "ineq10"
 
     def __init__(self, value: str) -> None:
-        number = int(value[4:])
+        self.number = number = int(value[4:])
         self.first = number % 2 == 1
         self.case = SieveCase.CASE1 if number <= 8 else SieveCase.CASE2
         self._partner_value = f"ineq{number + 1 if self.first else number - 1}"
@@ -340,10 +341,10 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     Every such condition is monotone in g, so the g form one interval:
     the gates and the case split bound g below (cases 3/4 also above,
     by d), the slack is linear in g with coefficient r - 3 or r - 4,
-    which is >= 0, and the alpha caps of cases 3/4 bound g above.  The
-    alphas of a case are those of its _case_windows, cut in cases 3/4
-    to those at which the slack's g floor is at most the alpha cap's g
-    ceiling; so no alpha yielded has an empty interval.
+    and the alpha caps of cases 3/4 bound g above.  The alphas of a
+    case are those of its _case_windows, cut in cases 3/4 to those at
+    which the slack's g floor is at most the alpha cap's g ceiling; so
+    no alpha yielded has an empty interval.
     """
     _check_domain(d, r)
     spans = []
@@ -355,17 +356,17 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
         # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
         cap_top = None if case.below else cap_numerator(case, d, 0)
-        if cap_top is not None and per_g:
+        if cap_top is not None:
             # The slack's g floor, ceil(-(at_zero + per_alpha*alpha) / per_g),
-            # is at most cap_top - 3*alpha iff coef*alpha <= bound.
+            # is at most cap_top - 3*alpha iff coef*alpha <= bound.  Both
+            # per_g (r - 3 or r - 4) and coef (2r - 10) are > 0, as cases
+            # 3/4 have no window below r = 6: at r = 4, 5 and g <= d the
+            # slack's alpha floor, about 0.8d or 0.67d in case 3 and at
+            # least about d in case 4, lies above the alpha cap, which is
+            # at most d/2 at g >= least_special_genus(d).
             coef = 3 * per_g - per_alpha
             bound = per_g * cap_top + at_zero
-            if coef > 0:
-                alpha_hi = min(alpha_hi, bound // coef)
-            elif coef < 0:
-                alpha_lo = max(alpha_lo, -(bound // -coef))
-            elif bound < 0:
-                continue
+            alpha_hi = min(alpha_hi, bound // coef)
             if alpha_lo > alpha_hi:
                 continue
         spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
@@ -377,9 +378,7 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
         for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top in spans:
             if not alpha_lo <= alpha <= alpha_hi:
                 continue
-            # With per_g = 0 the slack reads no g, and alpha_lo already
-            # makes it >= 0.
-            g_lo = max(g_min, -((at_zero + per_alpha * alpha) // per_g)) if per_g else g_min
+            g_lo = max(g_min, -((at_zero + per_alpha * alpha) // per_g))
             g_hi = g_max if cap_top is None else min(g_max, cap_top - 3 * alpha)
             yield alpha, case, g_lo, g_hi
 
@@ -427,8 +426,11 @@ def check_division(which: Ineq, alpha: int, eps: int, mu: int) -> None:
 
 
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:
-    """Twice the derived-inequality expression (doubling clears the
-    (r-3)/2 half-integer coefficient).
+    """Twice the case slack at pi: the source case's slack (case_slack
+    of which.case) at the degree d = m*q + eps + 1, q the divisor of the
+    convention, and at the genus bound g = pi1 or pi2 of that division
+    (bounds.castelnuovo_bound).  The paper's expansions of these
+    inequalities carry (r-3)/2 as a coefficient, and twice clears it.
 
     INEQ7/INEQ9 take (m, eps, mu) in the alpha-division convention
     (0 <= eps <= alpha-1) and are satisfied when the value is > 0;
@@ -441,37 +443,9 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     check_division(which, alpha, eps, mu)
-
-    if which is Ineq.INEQ7:
-        return (
-            alpha * (m - 1) * ((r - 3) * m - 2 * (r + 1))
-            + 2 * (eps + 1) * ((r - 3) * m - r - 1)
-            + 6
-            + 2 * mu * (r - 3)
-        )
-    if which is Ineq.INEQ8:
-        return (
-            (alpha + 1) * (m - 1) * ((r - 3) * m - 2 * (r + 1))
-            + 2 * (eps + 1) * ((r - 3) * m - r - 1)
-            - 2 * r
-            + 4
-            + 2 * (m + mu) * (r - 3)
-        )
-    binom = m * (m - 1) // 2
-    if which is Ineq.INEQ9:
-        return (
-            2 * alpha * ((r - 3) * binom - m * r + r - 2)
-            + 2 * (eps + 1) * ((r - 3) * m - r)
-            + 8
-            + 2 * mu * (r - 3)
-        )
-    return (
-        2 * (alpha + 1) * ((r - 3) * binom - m * r + r - 2)
-        + 2 * (eps + 1) * ((r - 3) * m - r)
-        - 2 * r
-        + 12
-        + 2 * (m + mu) * (r - 3)
-    )
+    d = m * (alpha if which.first else alpha + 1) + eps + 1
+    pi = bounds.castelnuovo_bound(m, eps, mu, alpha, which.first)
+    return 2 * case_slack(which.case, d, pi, r, alpha)
 
 
 def derived_satisfied(which: Ineq, value: int) -> bool:

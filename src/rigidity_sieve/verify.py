@@ -251,15 +251,17 @@ def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
     per_mu*mu, where floor is 1 for a strict inequality and 0 otherwise;
     so the inequality holds exactly when the form is >= 0.
 
-    Each expansion of derived_slack is linear in eps and mu once m is
-    fixed, so three of its values give the form: (0, 0), (1, 0) and the
-    first eps whose mu is 1.  derived_slack and derived_satisfied stay
-    the one encoding of the inequalities and their strictness.
+    derived_slack is linear in eps and mu once m is fixed (the degree
+    and pi are), so three of its values give the form: (0, 0), (1, 0)
+    and eps = alpha - 1, whose mu is 1 in both conventions.
+    derived_slack and derived_satisfied stay the one encoding of the
+    inequalities and their strictness.
     """
     at_zero = sieve.derived_slack(which, r, alpha, m, 0, 0)
     per_eps = sieve.derived_slack(which, r, alpha, m, 1, 0) - at_zero
-    eps = _mus(which, alpha).index(1)
-    per_mu = sieve.derived_slack(which, r, alpha, m, eps, 1) - at_zero - per_eps * eps
+    eps = alpha - 1
+    mu = bounds.mu(eps, alpha, which.first)
+    per_mu = (sieve.derived_slack(which, r, alpha, m, eps, mu) - at_zero - per_eps * eps) // mu
     floor = 0 if sieve.derived_satisfied(which, 0) else 1
     return at_zero - floor, per_eps, per_mu
 
@@ -400,10 +402,10 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                         if m > m_max or d < side_d or _claim_holds(claim, least_d, m, d):
                             continue
                         for ineq in (which, partner):
-                            if ineq not in holds:
+                            if ineq.number not in holds:
                                 value = sieve.derived_slack(ineq, r, alpha, *ineq.division(prof))
-                                holds[ineq] = sieve.derived_satisfied(ineq, value)
-                            if not holds[ineq]:
+                                holds[ineq.number] = sieve.derived_satisfied(ineq, value)
+                            if not holds[ineq.number]:
                                 break
                         else:
                             cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})

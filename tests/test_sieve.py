@@ -57,6 +57,41 @@ def naive_scan_config_list(d, g, r):
     return out
 
 
+def naive_derived_slack(which, r, alpha, m, eps, mu):
+    """Twice each derived inequality, expanded as a polynomial in
+    (alpha, m, eps, mu); (m, eps, mu) in the convention of which."""
+    if which is Ineq.INEQ7:
+        return (
+            alpha * (m - 1) * ((r - 3) * m - 2 * (r + 1))
+            + 2 * (eps + 1) * ((r - 3) * m - r - 1)
+            + 6
+            + 2 * mu * (r - 3)
+        )
+    if which is Ineq.INEQ8:
+        return (
+            (alpha + 1) * (m - 1) * ((r - 3) * m - 2 * (r + 1))
+            + 2 * (eps + 1) * ((r - 3) * m - r - 1)
+            - 2 * r
+            + 4
+            + 2 * (m + mu) * (r - 3)
+        )
+    binom = m * (m - 1) // 2
+    if which is Ineq.INEQ9:
+        return (
+            2 * alpha * ((r - 3) * binom - m * r + r - 2)
+            + 2 * (eps + 1) * ((r - 3) * m - r)
+            + 8
+            + 2 * mu * (r - 3)
+        )
+    return (
+        2 * (alpha + 1) * ((r - 3) * binom - m * r + r - 2)
+        + 2 * (eps + 1) * ((r - 3) * m - r)
+        - 2 * r
+        + 12
+        + 2 * (m + mu) * (r - 3)
+    )
+
+
 def naive_r3_witnesses(d, g):
     out = []
     for alpha in range(3, (d + 1) // 3 + 1):
@@ -400,6 +435,22 @@ class TestGenusIntervals:
                 for top in (d - 1, d, 2 * d, sieve.range_g_limit(d, r)):
                     assert list(sieve.window_intervals(d, r, top)) == naive_window_intervals(d, r, top), (d, r, top)
 
+    def test_cases_3_4_alpha_bound_divides_by_positive_coefficients(self):
+        # window_intervals divides by per_g and by coef = 3*per_g - per_alpha
+        # in cases 3/4 with no sign test: both are > 0 from r = 6 on, and
+        # below it _case_windows yields those cases no window.
+        for r in (4, 5):
+            for d in range(1, 3001):
+                for top in (d - 1, d, 2 * d, 3 * d):
+                    windows = sieve._case_windows(d, r, sieve.least_special_genus(d), top)
+                    assert all(window[0].below for window in windows), (d, r, top)
+        for r in range(6, 41):
+            for case in (SieveCase.CASE3, SieveCase.CASE4):
+                at_zero = sieve.case_slack(case, 100, 0, r, 0)
+                per_g = sieve.case_slack(case, 100, 1, r, 0) - at_zero
+                per_alpha = sieve.case_slack(case, 100, 0, r, 1) - at_zero
+                assert per_g > 0 and 3 * per_g - per_alpha == 2 * r - 10 > 0, (r, case)
+
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
         profile_calls, pi_calls = [], []
         real_profile, real_pi = bounds.castelnuovo_profile, bounds.max_genus_pi
@@ -441,9 +492,24 @@ class TestGenusIntervals:
 
 
 class TestDerivedInequalities:
+    def test_matches_the_expanded_polynomials(self):
+        # Every consistent (eps, mu), m = 1 included, whose degree may lie
+        # below alpha + 2, where castelnuovo_profile is not defined.
+        for r in range(4, 16):
+            for alpha in range(8, 26):
+                for m in range(1, 10):
+                    for which in Ineq:
+                        for eps in range(alpha if which.first else alpha + 1):
+                            if which.first:
+                                mu = 1 if eps == alpha - 1 else 0
+                            else:
+                                mu = 2 if eps == alpha else (1 if eps >= alpha - 2 else 0)
+                            want = naive_derived_slack(which, r, alpha, m, eps, mu)
+                            assert sieve.derived_slack(which, r, alpha, m, eps, mu) == want, (which, r, alpha, m, eps)
+
     def test_expansions_equal_substitution_forms(self):
-        # Doubled expansions match 2*((r-3)*pi - linear part) at the profile
-        # induced by the encoded degree.
+        # Twice the case slack at the pi1 or pi2 of the profile induced by
+        # the encoded degree.
         for r in range(4, 16):
             for alpha in range(8, 26):
                 for m in range(1, 9):

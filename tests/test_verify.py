@@ -604,8 +604,8 @@ class TestDerivedClaims:
         assert corrupted != clean
 
     def test_linear_form_premise(self):
-        # For fixed (inequality, r, alpha, m) every derived_slack expansion
-        # is linear in (eps, mu); the form read off three of its values
+        # For fixed (inequality, r, alpha, m) derived_slack is linear in
+        # (eps, mu); the form read off three of its values
         # must give derived_slack - floor on every consistent tuple.
         for which in Ineq:
             for r in range(4, 11):
@@ -734,8 +734,10 @@ class TestMutationDetection:
         assert verify.verify_thm41(5, 50).ok
 
     def test_case2_slack_lowered_by_2_reaches_every_reader(self, monkeypatch):
-        # scan, the genus intervals and the r = 9 audit all read the
-        # case-2 slack off sieve.case_slack.
+        # scan, the genus intervals, derived_slack (INEQ9/INEQ10) and the
+        # r = 9 audit's genus floor all read the case-2 slack off
+        # sieve.case_slack.  The audit walks the tuples passing INEQ10,
+        # which the lowered slack cuts to none, so it reads no pair.
         real = sieve.case_slack
 
         def case2_lowered(case, d, g, r, alpha):
@@ -743,10 +745,15 @@ class TestMutationDetection:
 
         assert sieve.scan(30, 34, 9).is_survivor
         clean = sieve.witnesses_by_genus(30, 9, 40)
+        derived_clean = {which: sieve.derived_slack(which, 9, 9, 2, 2, 0) for which in Ineq}
+        assert verify.verify_derived_claims(9, 60).audit["m2_eq_2_pairs"] == [(30, 33), (30, 34)]
         monkeypatch.setattr(sieve, "case_slack", case2_lowered)
         assert not sieve.scan(30, 34, 9).is_survivor
         assert sieve.witnesses_by_genus(30, 9, 40) != clean
-        assert verify.verify_derived_claims(9, 60).audit["m2_eq_2_pairs"] == [(30, 34)]
+        for which in Ineq:
+            lowered = derived_clean[which] - (4 if which.case is SieveCase.CASE2 else 0)
+            assert sieve.derived_slack(which, 9, 9, 2, 2, 0) == lowered
+        assert verify.verify_derived_claims(9, 60).audit["m2_eq_2_pairs"] == []
 
     def test_cap_numerator_lowered_by_1_reaches_every_reader(self, monkeypatch):
         # Each reader of the alpha-cap numerator moves when one case's
@@ -808,6 +815,25 @@ class TestMutationDetection:
         sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 1)
         for which in Ineq:
             assert verify._mus(which, 8) == [1] + clean_mus[which][1:]
+
+    def test_castelnuovo_bound_shifted_reaches_every_reader(self, monkeypatch):
+        # castelnuovo_profile and derived_slack both read pi1 and pi2 off
+        # bounds.castelnuovo_bound.
+        real = bounds.castelnuovo_bound
+        profile = bounds.castelnuovo_profile.__wrapped__
+        clean_profile = profile(30, 9)
+        # eps = 2, mu = 0 is consistent in both conventions at alpha = 9.
+        clean = {which: sieve.derived_slack(which, 9, 9, 2, 2, 0) for which in Ineq}
+        monkeypatch.setattr(
+            bounds,
+            "castelnuovo_bound",
+            lambda m, eps, mu, alpha, first: real(m, eps, mu, alpha, first) + (1 if first else 2),
+        )
+        assert profile(30, 9) == clean_profile._replace(pi1=clean_profile.pi1 + 1, pi2=clean_profile.pi2 + 2)
+        for which in Ineq:
+            # g rises by the shift, and the case slack by r - 3 per unit.
+            shift = 1 if which.first else 2
+            assert sieve.derived_slack(which, 9, 9, 2, 2, 0) == clean[which] + 2 * 6 * shift
 
     def test_pi1_off_by_one_reaches_sweep_rows(self, monkeypatch):
         clean = cli.run_sweep(7, 140)
