@@ -6,6 +6,7 @@ process, so the patched function is the one the sweep actually calls.
 """
 
 from collections import Counter
+from functools import partial
 from itertools import count, repeat
 
 import pytest
@@ -44,6 +45,49 @@ def pi2_raised_by_1(d, alpha):
 def pi2_raised_by_40(d, alpha):
     prof = REAL_PROFILE(d, alpha)
     return prof._replace(pi2=prof.pi2 + 40)
+
+
+def pi1_lowered_by_1(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi1=prof.pi1 - 1)
+
+
+def pi2_lowered_by_1(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi2=prof.pi2 - 1)
+
+
+# Every suite that reads the genus caps, on a small universe: label -> run.
+MATRIX_SUITES = {
+    "spots": verify.verify_spot_values,
+    **{f"thm41 r={r}": partial(verify.verify_thm41, r, 200) for r in range(4, 11)},
+    **{f"derived r={r}": partial(verify.verify_derived_claims, r, 30) for r in range(4, 11)},
+    "case34": partial(verify.verify_case34_never, 4, 10, 150),
+    **{f"r11 r={r}": partial(verify.verify_r_ge_11, r, 150) for r in (11, 12)},
+    "r5window": verify.verify_r5_window,
+}
+
+# The pinned mutation matrix: each profile mutation with the suites of
+# MATRIX_SUITES it fails (the real profile fails none).  A lowered cap
+# only removes survivors, so the grid suites' one-sided claims miss it.
+# A change to a row is a change of mutation reach, to be recorded with
+# its reason.
+MUTATION_MATRIX = {
+    REAL_PROFILE: set(),
+    pi1_off_by_one: {"spots", "thm41 r=7"},
+    pi1_lowered_by_1: {"spots"},
+    drop_mu2_case: {
+        "thm41 r=5", "thm41 r=8", "thm41 r=9",
+        "derived r=4", "derived r=5", "derived r=10",
+        "r11 r=11", "r11 r=12",
+    },
+    pi2_raised_by_1: {
+        "thm41 r=5", "thm41 r=6", "thm41 r=8", "thm41 r=9", "thm41 r=10",
+        "derived r=9",
+        "r11 r=11", "r11 r=12",
+    },
+    pi2_lowered_by_1: {"derived r=9"},
+}
 
 
 # ------------------------------------------------------------- oracles
@@ -710,6 +754,12 @@ class TestSplits:
 
 
 class TestMutationDetection:
+    @pytest.mark.parametrize("mutation", list(MUTATION_MATRIX), ids=lambda mutation: mutation.__name__)
+    def test_mutation_matrix(self, monkeypatch, mutation):
+        monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
+        failing = {label for label, run in MATRIX_SUITES.items() if not run().ok}
+        assert failing == MUTATION_MATRIX[mutation]
+
     def test_pi1_off_by_one_trips_spot_suite(self, monkeypatch):
         monkeypatch.setattr(bounds, "castelnuovo_profile", pi1_off_by_one)
         rep = verify.verify_spot_values()
