@@ -217,32 +217,22 @@ def _claim_text(claim: tuple) -> str:
     return f"{'m1' if which.first else 'm2'} >= {k} and {lhs} {op} {rhs}"
 
 
-def _claim_least_d(claim: tuple, alpha: int) -> int:
-    """The least d at which c*v op a*alpha + b holds: c > 0 and v is d
-    plus a constant, so it holds exactly from this d up."""
-    which, _, c, op, a, b = claim
-    return -(-(a * alpha + b + (op == ">")) // c) - _side(which, alpha, 0)
+def _claim_window(claim: tuple, alpha: int, m_max: int) -> tuple:
+    """(lo, fail, top): the claim's universe at alpha is the degrees
+    lo..top, and the claim fails exactly at those below fail.  This is
+    the one encoding of a claim's degree bounds.
 
-
-def _claim_holds(claim: tuple, least_d: int, m: int, d: int) -> bool:
-    """Whether the claim holds at degree d of some alpha, least_d being
-    _claim_least_d at that alpha and m the quotient of d in the
-    convention of the claim's inequality."""
-    return m >= claim[1] and d >= least_d
-
-
-def _mus(which: Ineq, alpha: int) -> list:
-    """mu for each eps in the division convention of the inequality:
-    eps in 0..alpha-1 for INEQ7/INEQ9, 0..alpha for INEQ8/INEQ10."""
-    return [bounds.mu(eps, alpha, which.first) for eps in range(alpha if which.first else alpha + 1)]
-
-
-def _least_eps(which: Ineq, alpha: int, m: int) -> int:
-    """The least eps whose degree d = m*q + eps + 1 (q the divisor of the
-    convention) meets d >= alpha + 2 and _side >= 0; the side variable is
-    d plus a constant, so its least d is minus its value at d = 0."""
+    With q the divisor of the convention and d - 1 = m*q + eps, lo is the
+    least d with d >= alpha + 2 (the profile's domain) and side variable
+    v >= 0 (v is d plus a constant, see _side), and top the last d of
+    m = m_max.  m >= K holds from d = K*q + 1 up and, since c > 0,
+    c*v op a*alpha + b from its least d up; fail is the larger of the two.
+    """
+    which, k, c, op, a, b = claim
     q = alpha if which.first else alpha + 1
-    return max(0, max(alpha + 2, -_side(which, alpha, 0)) - m * q - 1)
+    side_at_0 = _side(which, alpha, 0)
+    fail = max(k * q + 1, -(-(a * alpha + b + (op == ">")) // c) - side_at_0)
+    return max(alpha + 2, -side_at_0), fail, (m_max + 1) * q
 
 
 def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
@@ -288,7 +278,8 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     in that joint context.  A tuple satisfying all of that but violating
     the claimed consequence is a violation.  Both inequalities are
     evaluated through their linear form in (eps, mu), read once per
-    (inequality, alpha, m), and only at the eps where the claim fails.
+    (inequality, alpha, m), and only at the degrees where the claim
+    fails (_claim_window).
 
     For r = 9 the enumeration additionally rebuilds the set of (d, g)
     with a second-profile denominator of 2 passing the tenth inequality
@@ -309,60 +300,55 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     # (alpha, d) -> the error of a profile that breaks its convention.
     convention = {}
     for claim in _DERIVED_CLAIMS[r]:
-        which, k = claim[:2]
+        which = claim[0]
         partner = which.partner
         text = _claim_text(claim)
         for alpha in range(alpha_lo, alpha_max + 1):
-            mus = _mus(which, alpha)
-            q = len(mus)
-            least_d = _claim_least_d(claim, alpha)
-            partner_forms = {}
-            for m in range(1, m_max + 1):
-                e0 = _least_eps(which, alpha, m)
-                report.checked += max(0, q - e0)
-                # The claim fails at every eps while m < k; from m = k on,
-                # at the eps whose d lies below its least d.
-                stop = q if m < k else min(q, least_d - m * q - 1)
-                if e0 >= stop:
+            q = alpha if which.first else alpha + 1
+            lo, fail, top = _claim_window(claim, alpha, m_max)
+            report.checked += top - lo + 1
+            form_m, partner_forms = None, {}
+            for d in range(lo, min(fail, top + 1)):
+                m, eps = divmod(d - 1, q)
+                if m != form_m:
+                    form_m, (base, per_eps, per_mu) = m, _linear_form(which, r, alpha, m)
+                mu = bounds.mu(eps, alpha, which.first)
+                if base + per_eps * eps + per_mu * mu < 0:
                     continue
-                base, per_eps, per_mu = _linear_form(which, r, alpha, m)
-                for eps in range(e0, stop):
-                    mu = mus[eps]
-                    if base + per_eps * eps + per_mu * mu < 0:
-                        continue
-                    d = m * q + eps + 1
-                    m_p, eps_p, mu_p = partner.division(bounds.castelnuovo_profile(d, alpha))
-                    try:
-                        sieve.check_division(partner, alpha, eps_p, mu_p)
-                    except ValueError as exc:
-                        convention.setdefault((alpha, d), str(exc))
-                        continue
-                    form = partner_forms.get(m_p)
-                    if form is None:
-                        form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
-                    if form[0] + form[1] * eps_p + form[2] * mu_p >= 0:
-                        tuple_violations.append(
-                            {
-                                "ineq": which.value,
-                                "claim": text,
-                                "alpha": alpha,
-                                "m": m,
-                                "eps": eps,
-                                "mu": mu,
-                                "d": d,
-                            }
-                        )
+                m_p, eps_p, mu_p = partner.division(bounds.castelnuovo_profile(d, alpha))
+                try:
+                    sieve.check_division(partner, alpha, eps_p, mu_p)
+                except ValueError as exc:
+                    convention.setdefault((alpha, d), str(exc))
+                    continue
+                form = partner_forms.get(m_p)
+                if form is None:
+                    form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
+                if form[0] + form[1] * eps_p + form[2] * mu_p >= 0:
+                    tuple_violations.append(
+                        {
+                            "ineq": which.value,
+                            "claim": text,
+                            "alpha": alpha,
+                            "m": m,
+                            "eps": eps,
+                            "mu": mu,
+                            "d": d,
+                        }
+                    )
     report.violations.extend(tuple_violations)
 
     if r == 9:
         hits = set()
+        ineq10 = next(claim for claim in _DERIVED_CLAIMS[r] if claim[0] is Ineq.INEQ10)
         for alpha in range(alpha_lo, alpha_max + 1):
-            mus = _mus(Ineq.INEQ10, alpha)
+            q = alpha + 1
             base, per_eps, per_mu = _linear_form(Ineq.INEQ10, r, alpha, 2)
-            for eps in range(_least_eps(Ineq.INEQ10, alpha, 2), len(mus)):
-                if base + per_eps * eps + per_mu * mus[eps] < 0:
+            # The degrees of m2 = 2 in the universe of the tenth inequality.
+            for d in range(max(2 * q + 1, _claim_window(ineq10, alpha, m_max)[0]), 3 * q + 1):
+                eps = d - 1 - 2 * q
+                if base + per_eps * eps + per_mu * bounds.mu(eps, alpha, False) < 0:
                     continue
-                d = 2 * (alpha + 1) + eps + 1
                 prof = bounds.castelnuovo_profile(d, alpha)
                 # A floor, where the case-2 slack >= 0 needs a ceiling.
                 # The floor alone puts (30, 33) in the audit: at alpha = 9
@@ -384,22 +370,21 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     if r == 4:
         cross = []
         for alpha in range(alpha_lo, alpha_max + 1):
-            # Per claim, read once per alpha: the least d with its side
-            # variable >= 0 (_side is d plus a constant) and its least d.
-            claims = [
-                (claim, claim[0], claim[0].partner, -_side(claim[0], alpha, 0), _claim_least_d(claim, alpha))
-                for claim in _DERIVED_CLAIMS[r]
-            ]
-            # Up to the last degree of m = m_max in the m2 convention.
-            for d in range(alpha + 2, (m_max + 1) * (alpha + 1) + 1):
+            # Per claim, read once per alpha: its universe's first degree
+            # and the end of the degrees where it fails there.
+            claims = []
+            for claim in _DERIVED_CLAIMS[r]:
+                lo, fail, top = _claim_window(claim, alpha, m_max)
+                claims.append((claim, claim[0], claim[0].partner, lo, min(fail, top + 1)))
+            # Past the last degree where some claim fails, nothing is evaluated.
+            for d in range(alpha + 2, max(stop for *_, stop in claims)):
                 prof = bounds.castelnuovo_profile(d, alpha)
                 # Each inequality is evaluated at most once per (alpha, d),
                 # and only when a claim that fails there reaches it.
                 holds = {}
                 try:
-                    for claim, which, partner, side_d, least_d in claims:
-                        m = which.division(prof)[0]
-                        if m > m_max or d < side_d or _claim_holds(claim, least_d, m, d):
+                    for claim, which, partner, lo, stop in claims:
+                        if not lo <= d < stop:
                             continue
                         for ineq in (which, partner):
                             if ineq.number not in holds:

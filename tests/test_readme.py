@@ -1,5 +1,5 @@
 """The README's library quick tour, run as a doctest, and the module
-names the README cites.
+and private names the README cites.
 
 `python -m doctest README.md` cannot run the tour, since the closing
 fence reads as expected output of the last example; so the fenced
@@ -12,9 +12,12 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("bounds", "sieve", "verify", "cli", "surfaces")
 # A module-qualified name such as `sieve.scan`, not preceded by a word
 # character or a dot (so not `rigidity_sieve.bounds`).
-CITED_NAME = re.compile(r"(?<![\w.])(bounds|sieve|verify|cli|surfaces)\.([A-Za-z_]\w*)")
+CITED_NAME = re.compile(rf"(?<![\w.])({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
+# A bare private name in backticks, such as `_case_windows`.
+CITED_PRIVATE = re.compile(r"`(_[A-Za-z]\w*)`")
 
 
 def test_quick_tour_runs():
@@ -31,4 +34,12 @@ def test_cited_module_names_resolve():
     cited = sorted(set(CITED_NAME.findall(README.read_text(encoding="utf-8"))))
     assert len(cited) >= 20
     missing = [f"{module}.{name}" for module, name in cited if not hasattr(importlib.import_module(f"rigidity_sieve.{module}"), name)]
+    assert missing == []
+
+
+def test_cited_private_names_resolve():
+    cited = sorted(set(CITED_PRIVATE.findall(README.read_text(encoding="utf-8"))))
+    assert cited
+    modules = [importlib.import_module(f"rigidity_sieve.{module}") for module in MODULES]
+    missing = [name for name in cited if not any(hasattr(module, name) for module in modules)]
     assert missing == []

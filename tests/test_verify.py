@@ -7,7 +7,7 @@ process, so the patched function is the one the sweep actually calls.
 
 from collections import Counter
 from functools import partial
-from itertools import count, repeat
+from itertools import count
 
 import pytest
 from hypothesis import given
@@ -339,24 +339,29 @@ def stricter_claims(r, shift=1):
 
 def expected_derived_reads(r, alpha_max, m_max):
     """The profile and linear-form reads of verify_derived_claims(r,
-    alpha_max, m_max), counted by brute force: its primary loop reads
-    both only at consistent tuples where the claim fails (one primary
-    form per (claim, alpha, m) with such a tuple; one profile per such
-    tuple passing its own inequality, and one partner form per
-    (claim, alpha) and partner quotient met there); the r = 4 cross loop
-    reads one profile per (alpha, d) up to the primary's largest d; the
-    r = 9 audit one form per alpha and one profile per m2 = 2 tuple
-    passing the tenth inequality."""
+    alpha_max, m_max), counted by brute force on the literal claims: its
+    primary loop reads both only at consistent tuples where the claim
+    fails (one primary form per (claim, alpha, m) with such a tuple; one
+    profile per such tuple passing its own inequality, and one partner
+    form per (claim, alpha) and partner quotient met there); the r = 4
+    cross loop reads one profile per (alpha, d) from alpha + 2 up to the
+    last degree where some claim fails; the r = 9 audit one form per
+    alpha and one profile per m2 = 2 tuple passing the tenth
+    inequality."""
     reads = Counter()
-    for claim, (which, _, _) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+    # alpha -> the last degree where some claim fails.
+    last_failing = Counter()
+    for which, _, consequence in LITERAL_CLAIMS[r]:
         partner = LITERAL_PARTNER[which]
         for alpha in range(max(8, r), alpha_max + 1):
             failing_m, partner_m = set(), set()
             for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
-                side = d + 1 - 3 * alpha if which in (Ineq.INEQ7, Ineq.INEQ8) else d - 3 * alpha
-                if d < alpha + 2 or side < 0 or verify._claim_holds(claim, verify._claim_least_d(claim, alpha), m, d):
+                i, j = d + 1 - 3 * alpha, d - 3 * alpha
+                side = i if which in (Ineq.INEQ7, Ineq.INEQ8) else j
+                if d < alpha + 2 or side < 0 or consequence(alpha, m, eps, mu, i, j):
                     continue
                 failing_m.add(m)
+                last_failing[alpha] = max(last_failing[alpha], d)
                 if sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, m, eps, mu)):
                     reads["profile"] += 1
                     prof = REAL_PROFILE(d, alpha)
@@ -364,7 +369,7 @@ def expected_derived_reads(r, alpha_max, m_max):
             reads["form"] += len(failing_m) + len(partner_m)
     for alpha in range(max(8, r), alpha_max + 1):
         if r == 4:
-            reads["profile"] += len(range(alpha + 2, (m_max + 1) * (alpha + 1) + 1))
+            reads["profile"] += len(range(alpha + 2, last_failing[alpha] + 1))
         if r == 9:
             reads["form"] += 1
             for m, eps, mu, d in _consistent_tuples(Ineq.INEQ10, alpha, 2):
@@ -604,20 +609,20 @@ class TestDerivedClaims:
 
     @pytest.mark.parametrize("r", range(4, 11))
     def test_claim_evaluator_matches_the_literal_predicates(self, r):
-        # Every (alpha, m, d) with alpha 8..79, m 0..29 and
-        # alpha + 2 <= d < 40*alpha; i and j are d's side variables.
-        for claim, (_, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+        # Every (alpha, d) with alpha 8..79 and alpha + 2 <= d < 40*alpha,
+        # m the quotient of d - 1 in the claim's convention and i, j the
+        # side variables of d: the claim holds exactly from the window's
+        # fail up.
+        for claim, (which, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
             for alpha in range(8, 80):
-                degrees = range(alpha + 2, 40 * alpha)
-                i_values = range(degrees.start + 1 - 3 * alpha, degrees.stop + 1 - 3 * alpha)
-                j_values = range(degrees.start - 3 * alpha, degrees.stop - 3 * alpha)
-                for m in range(30):
-                    want = list(map(predicate, repeat(alpha), repeat(m), repeat(0), repeat(0), i_values, j_values))
-                    got = list(map(verify._claim_holds, repeat(claim), repeat(verify._claim_least_d(claim, alpha)), repeat(m), degrees))
-                    assert got == want, (claim, alpha, m)
+                q = alpha if which in (Ineq.INEQ7, Ineq.INEQ9) else alpha + 1
+                fail = verify._claim_window(claim, alpha, verify.DERIVED_M_MAX)[1]
+                for d in range(alpha + 2, 40 * alpha):
+                    want = predicate(alpha, (d - 1) // q, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha)
+                    assert (d >= fail) == want, (claim, alpha, d)
 
     def test_claim_coefficients_are_positive(self):
-        # The eps window relies on c > 0: the claim then holds exactly
+        # The claim window relies on c > 0: the claim then holds exactly
         # from its least d up.
         claims = [claim for r in range(4, 11) for claim in verify._DERIVED_CLAIMS[r]]
         assert len(claims) == 21
@@ -625,17 +630,59 @@ class TestDerivedClaims:
 
     @pytest.mark.parametrize("r", range(4, 11))
     def test_claim_least_degree_is_the_literal_threshold(self, r):
-        # At m = K the literal predicate fails below _claim_least_d and
-        # holds from it up; at m = K - 1 it fails everywhere.
-        for claim, (_, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+        # At m = K the literal predicate fails below one degree and holds
+        # from it up, and at m = K - 1 it fails everywhere; so the claim
+        # fails exactly below the larger of that degree and K*q + 1, the
+        # first degree of m = K.
+        for claim, (which, _, predicate) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
             k = claim[1]
             for alpha in range(8, 80):
+                q = alpha if which in (Ineq.INEQ7, Ineq.INEQ9) else alpha + 1
                 degrees = range(0, 12 * alpha)
                 holds = [predicate(alpha, k, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha) for d in degrees]
                 least = holds.index(True)
                 assert least > 0 and all(holds[least:]), (claim, alpha)
-                assert verify._claim_least_d(claim, alpha) == least, (claim, alpha)
+                fail = verify._claim_window(claim, alpha, verify.DERIVED_M_MAX)[1]
+                assert fail == max(k * q + 1, least), (claim, alpha)
                 assert not any(predicate(alpha, k - 1, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha) for d in degrees)
+
+    @pytest.mark.parametrize("r", range(4, 11))
+    def test_claim_window_spans_the_literal_universe(self, r):
+        # The window's lo..top are exactly the degrees of the consistent
+        # tuples with d >= alpha + 2 and the side variable >= 0.
+        for claim, (which, _, _) in zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True):
+            for alpha in range(8, 41):
+                for m_max in (2, 3, 20):
+                    degrees = [
+                        d
+                        for _, _, _, d in _consistent_tuples(which, alpha, m_max)
+                        if d >= alpha + 2 and (d + 1 if which in (Ineq.INEQ7, Ineq.INEQ8) else d) >= 3 * alpha
+                    ]
+                    lo, _, top = verify._claim_window(claim, alpha, m_max)
+                    assert degrees == list(range(lo, top + 1)), (claim, alpha, m_max)
+
+    @given(data=st.data(), alpha=st.integers(8, 2**40), m_max=st.integers(2, 40))
+    def test_claim_window_on_large_alpha(self, data, alpha, m_max):
+        # The window against the literal universe and predicate at its
+        # three bounds and at a drawn degree.
+        r = data.draw(st.integers(4, 10), label="r")
+        pairs = list(zip(verify._DERIVED_CLAIMS[r], LITERAL_CLAIMS[r], strict=True))
+        claim, (which, _, predicate) = data.draw(st.sampled_from(pairs), label="claim")
+        q = alpha if which in (Ineq.INEQ7, Ineq.INEQ9) else alpha + 1
+        lo, fail, top = verify._claim_window(claim, alpha, m_max)
+
+        def in_universe(d):
+            side = d + 1 - 3 * alpha if which in (Ineq.INEQ7, Ineq.INEQ8) else d - 3 * alpha
+            return d >= alpha + 2 and side >= 0 and (d - 1) // q <= m_max
+
+        def holds(d):
+            return predicate(alpha, (d - 1) // q, 0, 0, d + 1 - 3 * alpha, d - 3 * alpha)
+
+        assert in_universe(lo) and not in_universe(lo - 1)
+        assert in_universe(top) and not in_universe(top + 1)
+        assert holds(fail) and not holds(fail - 1)
+        d = data.draw(st.integers(1, 50 * alpha), label="d")
+        assert holds(d) == (d >= fail)
 
     @pytest.mark.parametrize("r", (5, 6, 7, 10))
     def test_partner_check_reads_the_patched_profile(self, monkeypatch, r):
@@ -851,20 +898,31 @@ class TestMutationDetection:
 
     def test_mu_raised_at_eps_0_reaches_every_reader(self, monkeypatch):
         # castelnuovo_profile, derived_slack's convention check and the
-        # derived suite's mu lists all read bounds.mu.
+        # derived suite's own-inequality reads all read bounds.mu.
         real = bounds.mu
         profile = bounds.castelnuovo_profile.__wrapped__
         # alpha = 8: d = 28 has eps2 = 0 (eps1 = 3), d = 33 eps1 = 0 (eps2 = 5).
         assert [(profile(d, 8).mu1, profile(d, 8).mu2) for d in (28, 33)] == [(0, 0), (0, 0)]
         sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 0)
-        clean_mus = {which: verify._mus(which, 8) for which in Ineq}
+        # The derived suite at r = 6, alpha = 8, m <= 6, with every claim
+        # failing, so that each tuple passing both inequalities is a
+        # violation recording its own mu.  Its forms are read clean and
+        # its profiles uncached, so only the mu reads see the mutation.
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, 6, stricter_claims(6, 20))
+        clean = verify.verify_derived_claims(6, 8, 6)
+        forms = {(which, m): verify._linear_form(which, 6, 8, m) for which in Ineq for m in range(1, 8)}
+        monkeypatch.setattr(verify, "_linear_form", lambda which, r, alpha, m: forms[which, m])
+        monkeypatch.setattr(bounds, "castelnuovo_profile", profile)
         monkeypatch.setattr(bounds, "mu", lambda eps, alpha, first: real(eps, alpha, first) + (eps == 0))
         assert [(profile(d, 8).mu1, profile(d, 8).mu2) for d in (28, 33)] == [(0, 1), (1, 0)]
         with pytest.raises(ValueError, match="inconsistent"):
             sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 0)
         sieve.derived_slack(Ineq.INEQ8, 4, 8, 3, 0, 1)
-        for which in Ineq:
-            assert verify._mus(which, 8) == [1] + clean_mus[which][1:]
+        raised = verify.verify_derived_claims(6, 8, 6)
+        clean_mus = [v["mu"] for v in clean.violations if v["eps"] == 0]
+        raised_mus = [v["mu"] for v in raised.violations if v["eps"] == 0]
+        assert clean_mus and set(clean_mus) == {0}
+        assert raised_mus and set(raised_mus) == {1}
 
     def test_castelnuovo_bound_shifted_reaches_every_reader(self, monkeypatch):
         # castelnuovo_profile and derived_slack both read pi1 and pi2 off
