@@ -80,6 +80,34 @@ def max_genus_pi(d: int, r: int) -> int:
     return m * (m - 1) // 2 * (r - 1) + m * eps
 
 
+def castelnuovo_envelope(d: int, alpha: int) -> tuple[int, int, int, int]:
+    """(upper, upper_den, lower, lower_den), polynomials in d and alpha:
+
+        upper_den * pi(d, alpha) <= upper = (2d - 1 - alpha)^2,
+        upper_den = 8(alpha - 1);
+        lower_den * c >= lower = (d - 1)(d - alpha - 2),
+        lower_den = 2(alpha + 1),
+
+    for c each of pi(d, alpha), pi1 and pi2 at (d, alpha), so for every
+    genus cap.  They hold wherever max_genus_pi resp. castelnuovo_profile
+    is defined.
+
+    With n = d - 1 = m*q + eps, the core term C(m, 2)*q + m*eps of each
+    bound equals (n - eps)(n - q + eps) / (2q), as m = (n - eps)/q.  On
+    0 <= eps <= q that is a concave parabola in eps with its top at
+    eps = q/2 and equal values at the ends, so
+
+        n(n - q) / (2q)  <=  core  <=  (2n - q)^2 / (8q).
+
+    pi is the core at q = alpha - 1, which gives the upper bound.  pi1 is
+    the core at q = alpha plus m1 + mu1 >= 0, and pi2 the core at
+    q = alpha + 1 plus 2*m2 + mu2 >= 0.  The lower end n^2/(2q) - n/2
+    falls as q grows, so each of pi, pi1, pi2 is at least its value at
+    q = alpha + 1, which is the lower bound.
+    """
+    return (2 * d - 1 - alpha) ** 2, 8 * (alpha - 1), (d - 1) * (d - alpha - 2), 2 * (alpha + 1)
+
+
 def mu(eps: int, alpha: int, first: bool) -> int:
     """The Castelnuovo correction of remainder eps at series dimension
     alpha: in the first convention (divisor alpha) 1 exactly when

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import collections
 import enum
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import bounds
 from .bounds import CastelnuovoProfile
@@ -332,24 +333,38 @@ def scan_streamed(d: int, g: int, r: int) -> Verdict:
     return verdict
 
 
-def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
-    """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
-    (alpha, case) with a g <= g_top at which scan's gates pass, the case
-    applies and alpha lies in the case's window (case_alpha_range):
-    those g are exactly g_lo..g_hi.  The genus caps are not applied.
+class _Span(NamedTuple):
+    """One case's window intervals at one degree: at each alpha of
+    alpha_lo..alpha_hi, the g of interval(alpha).  The case's slack is
+    at_zero + per_g*g + per_alpha*alpha, and in cases 3/4 the alpha cap
+    reads g <= cap_top - 3*alpha (cap_top is None in cases 1/2, whose
+    alpha caps read no g)."""
 
-    Every such condition is monotone in g, so the g form one interval:
-    the gates and the case split bound g below (cases 3/4 also above,
-    by d), the slack is linear in g with coefficient r - 3 or r - 4,
-    and the alpha caps of cases 3/4 bound g above.  The alphas of a
-    case are those of its _case_windows, cut in cases 3/4 to those at
-    which the slack's g floor is at most the alpha cap's g ceiling; so
-    no alpha yielded has an empty interval.
-    """
+    case: SieveCase
+    g_min: int
+    g_max: int
+    alpha_lo: int
+    alpha_hi: int
+    at_zero: int
+    per_g: int
+    per_alpha: int
+    cap_top: Optional[int]
+
+    def interval(self, alpha: int) -> tuple[int, int]:
+        """(g_lo, g_hi) at alpha: g_min raised to the slack's g floor,
+        g_max lowered to the alpha cap's g ceiling."""
+        g_lo = max(self.g_min, -((self.at_zero + self.per_alpha * alpha) // self.per_g))
+        g_hi = self.g_max if self.cap_top is None else min(self.g_max, self.cap_top - 3 * alpha)
+        return g_lo, g_hi
+
+
+def _spans(d: int, r: int, g_top: int) -> list:
+    """The _Span of each case with a window interval at degree d, in
+    case order: the case's _case_windows over the special g <= g_top,
+    its alpha window cut in cases 3/4 (see window_intervals)."""
     _check_domain(d, r)
     spans = []
     for case, g_min, g_max, alpha_lo, alpha_hi in _case_windows(d, r, least_special_genus(d), g_top):
-        # case_slack = at_zero + per_g * g + per_alpha * alpha.
         at_zero = case_slack(case, d, 0, r, 0)
         per_g = case_slack(case, d, 1, r, 0) - at_zero
         per_alpha = case_slack(case, d, 0, r, 1) - at_zero
@@ -369,29 +384,124 @@ def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
             alpha_hi = min(alpha_hi, bound // coef)
             if alpha_lo > alpha_hi:
                 continue
-        spans.append((case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
-    if not spans:
-        return
-    first = min(span[3] for span in spans)
-    last = max(span[4] for span in spans)
-    for alpha in range(first, last + 1):
-        for case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top in spans:
-            if not alpha_lo <= alpha <= alpha_hi:
-                continue
-            g_lo = max(g_min, -((at_zero + per_alpha * alpha) // per_g))
-            g_hi = g_max if cap_top is None else min(g_max, cap_top - 3 * alpha)
-            yield alpha, case, g_lo, g_hi
+        spans.append(_Span(case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
+    return spans
+
+
+def _span_intervals(pieces: list) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi) at every alpha of every piece
+    (span, lo, hi), whose alphas are lo..hi, in (alpha, case) order.
+    The pieces come in case order, and those of one case have disjoint
+    alpha ranges.  The alpha line is cut where a piece starts or ends,
+    so each alpha visits only the spans that hold it."""
+    edges = sorted({lo for _, lo, _ in pieces} | {hi + 1 for _, _, hi in pieces})
+    for start, stop in zip(edges, edges[1:]):
+        active = [span for span, lo, hi in pieces if lo <= start and stop <= hi + 1]
+        for alpha in range(start, stop):
+            for span in active:
+                yield (alpha, span.case, *span.interval(alpha))
+
+
+def _negative_run(values: tuple, lo: int, hi: int) -> tuple[int, int]:
+    """(first, last): the x in lo..hi with p(x) < 0, empty when
+    first > last.  p is a polynomial of degree at most 2 with a
+    non-negative x^2 coefficient, given by its values (p(0), p(1), p(2)),
+    so that p(x) = p(0) + x*(p(1) - p(0)) + C(x, 2)*(p(2) - 2p(1) + p(0))
+    and its negative x form one run.
+
+    With 2p = a*x^2 + b*x + c, a quadratic is negative strictly between
+    its roots (-b -+ sqrt(disc)) / 2a.  With root = isqrt(disc) each real
+    root lies in a known interval of width at most 1/(2a) <= 1/2, so the
+    floor of one end gives the run's end up to one step, which one
+    evaluation of 2p on the root's side of the vertex settles.
+    """
+    at_0, at_1, at_2 = values
+    a = at_2 - 2 * at_1 + at_0
+    b = 2 * (at_1 - at_0) - a
+    c = 2 * at_0
+    if a == 0:
+        if b > 0:
+            first, last = lo, (-c - 1) // b
+        elif b < 0:
+            first, last = c // -b + 1, hi
+        else:
+            first, last = (lo, hi) if c < 0 else (hi + 1, hi)
+        return max(first, lo), min(last, hi)
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return hi + 1, hi
+    root = math.isqrt(disc)
+    # The lower root lies in ((-b - root - 1)/2a, (-b - root)/2a]: the
+    # least integer above it is the floor of the left end plus 1 or 2.
+    first = (-b - root - 1) // (2 * a) + 1
+    if 2 * a * first + b < 0 and (a * first + b) * first + c >= 0:
+        first += 1
+    # The upper root lies in [(-b + root)/2a, (-b + root + 1)/2a).
+    last = -((b - root - 1) // (2 * a)) - 1
+    if 2 * a * last + b > 0 and (a * last + b) * last + c >= 0:
+        last -= 1
+    return max(first, lo), min(last, hi)
+
+
+def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
+    (alpha, case) with a g <= g_top at which scan's gates pass, the case
+    applies and alpha lies in the case's window (case_alpha_range):
+    those g are exactly g_lo..g_hi.  The genus caps are not applied.
+
+    Every such condition is monotone in g, so the g form one interval:
+    the gates and the case split bound g below (cases 3/4 also above,
+    by d), the slack is linear in g with coefficient r - 3 or r - 4,
+    and the alpha caps of cases 3/4 bound g above.  The alphas of a
+    case are those of its _case_windows, cut in cases 3/4 to those at
+    which the slack's g floor is at most the alpha cap's g ceiling; so
+    no alpha yielded has an empty interval.
+    """
+    return _span_intervals([(span, span.alpha_lo, span.alpha_hi) for span in _spans(d, r, g_top)])
+
+
+def _unsettled(span: _Span, envelope: list) -> list:
+    """The pieces (span, lo, hi) of the span's alphas at which the
+    envelope does not show pi(d, alpha) < g_lo, at most two; envelope
+    holds bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, and
+    upper_den * pi <= upper.
+
+    g_lo is at least the slack's real g floor -(at_zero +
+    per_alpha*alpha) / per_g.  Put in for g_lo, it gives a convex
+    quadratic in alpha that is negative exactly where it shows
+    pi < g_lo, so it settles one run of alphas (_negative_run).  g_lo's
+    other floor, g_min, would settle no windowed alpha over r = 4..12
+    and 40 at d <= 700, so it is not tried."""
+    per_g, at_zero, per_alpha = span.per_g, span.at_zero, span.per_alpha
+    values = [
+        per_g * upper + upper_den * (at_zero + per_alpha * alpha)
+        for alpha, (upper, upper_den, _, _) in enumerate(envelope)
+    ]
+    lo, hi = span.alpha_lo, span.alpha_hi
+    first, last = _negative_run(values, lo, hi)
+    if first > last:
+        return [(span, lo, hi)]
+    return [(span, a, b) for a, b in ((lo, first - 1), (last + 1, hi)) if a <= b]
 
 
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
     (alpha, case) that is a witness of scan(d, g, r) for some g <= g_top:
     the window_intervals cut by genus_cap(d, alpha), which depends on
-    (d, alpha) only.  As in genus_caps_ok, pi(d, alpha) is read once per
-    alpha with a window interval, and the profile only once some
-    interval of that alpha reaches down to pi."""
+    (d, alpha) only.
+
+    An (alpha, case) at which the closed-form envelope already puts
+    pi(d, alpha) below g_lo is skipped unread (_unsettled); the others
+    go through the exact path.  As in genus_caps_ok, pi(d, alpha) is read
+    once per alpha with such an interval, and the profile only once
+    some interval of that alpha reaches down to pi."""
+    spans = _spans(d, r, g_top)
+    if not spans:
+        return
+    envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
+    pieces = [piece for span in spans for piece in _unsettled(span, envelope)]
     cap_alpha = pi = cap = None
-    for alpha, case, g_lo, g_hi in window_intervals(d, r, g_top):
+    for alpha, case, g_lo, g_hi in _span_intervals(pieces):
         if alpha != cap_alpha:
             cap_alpha, pi, cap = alpha, bounds.max_genus_pi(d, alpha), None
         if g_lo > pi:

@@ -376,8 +376,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
             for claim in _DERIVED_CLAIMS[r]:
                 lo, fail, top = _claim_window(claim, alpha, m_max)
                 claims.append((claim, claim[0], claim[0].partner, lo, min(fail, top + 1)))
-            # Past the last degree where some claim fails, nothing is evaluated.
-            for d in range(alpha + 2, max(stop for *_, stop in claims)):
+            # Below the first claim's universe and past the last degree
+            # where some claim fails, nothing is evaluated.
+            for d in range(min(lo for *_, lo, _ in claims), max(stop for *_, stop in claims)):
                 prof = bounds.castelnuovo_profile(d, alpha)
                 # Each inequality is evaluated at most once per (alpha, d),
                 # and only when a claim that fails there reaches it.
@@ -446,6 +447,40 @@ def r11_least_genus(case: SieveCase, d: int, r: int) -> int:
     return -(-(num + r - (8 if case.index % 2 else 14)) // den)
 
 
+def _certified_run(span: sieve._Span, envelope: list, top: int) -> int:
+    """The last alpha of the run at the start of a case-1/2 span whose
+    capped intervals have the union [g_lo at that alpha, g_max], or
+    alpha_lo - 1 if there is none; the run ends by top.  envelope holds
+    bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, whose lower
+    bound holds for every genus cap: lower_den * cap >= lower.
+
+    The span's interval at alpha is [L(alpha), g_max] cut by the cap,
+    and L falls with alpha.  The run starts at alpha_lo if the envelope
+    puts the cap there at g_max or above.  A later alpha keeps the union
+    an interval from L(alpha) up if the envelope puts its cap at
+    L(alpha - 1) or above: then its interval meets the union so far; and
+    if L(alpha - 1) is g_min, every later interval lies in the union.
+    The first test is linear in alpha and holds on a prefix; past it, the
+    second is read against L(alpha - 1) <= U = (per_g - 1 -
+    at_zero - per_alpha*(alpha - 1)) / per_g, the slack's ceiling bound,
+    a convex quadratic in alpha that may hold again past its upper root,
+    so the run ends at its first failure (sieve._negative_run).
+    """
+    prefix = [lower - lower_den * span.g_max for _, _, lower, lower_den in envelope]
+    chain = [
+        span.per_g * lower - lower_den * (span.per_g - 1 - span.at_zero - span.per_alpha * (alpha - 1))
+        for alpha, (_, _, lower, lower_den) in enumerate(envelope)
+    ]
+    hi = min(span.alpha_hi, top)
+    last = span.alpha_lo - 1
+    for values in (prefix, chain):
+        first, stop = sieve._negative_run(values, last + 1, hi)
+        last = first - 1 if first <= stop else hi
+        if last < span.alpha_lo:
+            break
+    return last
+
+
 def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """Check the three steps of the high-r exclusion over d <= d_max,
     g in [2, 2d]:
@@ -472,8 +507,19 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         # the end of the degree; part (c) sorts after every case.
         found = []
         fired = {case.index: [] for case in SieveCase}
+        envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
+        pieces = []
+        for span in sieve._spans(d, r, 2 * d):
+            lo = span.alpha_lo
+            if span.case.below:
+                # Below (a)'s boundary, 3*alpha < below_top.
+                last = _certified_run(span, envelope, (below_top - 1) // 3)
+                if last >= lo:
+                    fired[span.case.index].append((span.interval(last)[0], span.g_max))
+                    lo = last + 1
+            pieces.append((span, lo, span.alpha_hi))
         cap_alpha = cap = None
-        for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
+        for alpha, case, g_lo, g_hi in sieve._span_intervals(pieces):
             if alpha != cap_alpha:
                 cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
             if g_lo <= cap:

@@ -1,8 +1,10 @@
 """Tests for the exact-integer invariant layer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rigidity_sieve import bounds
+from rigidity_sieve import bounds, sieve
 from rigidity_sieve.bounds import CurveClass
 
 
@@ -75,6 +77,40 @@ class TestMaxGenusPi:
         for r in (3, 5, 8):
             values = [bounds.max_genus_pi(d, r) for d in range(r, 120)]
             assert values == sorted(values)
+
+
+def assert_envelope_holds(d, alpha):
+    """Both envelope inequalities at (d, alpha), in the profile's domain:
+    pi below the upper bound, and pi, pi1, pi2 and so genus_cap above
+    the lower one."""
+    upper, upper_den, lower, lower_den = bounds.castelnuovo_envelope(d, alpha)
+    assert (upper, upper_den) == ((2 * d - 1 - alpha) ** 2, 8 * (alpha - 1))
+    assert (lower, lower_den) == ((d - 1) * (d - alpha - 2), 2 * (alpha + 1))
+    pi = bounds.max_genus_pi(d, alpha)
+    prof = bounds.castelnuovo_profile(d, alpha)
+    assert upper_den * pi <= upper, (d, alpha)
+    for cap in (pi, prof.pi1, prof.pi2, sieve.genus_cap(d, alpha)):
+        assert lower_den * cap >= lower, (d, alpha, cap)
+
+
+class TestCastelnuovoEnvelope:
+    def test_holds_on_the_profile_domain(self):
+        for d in range(5, 401):
+            for alpha in range(3, d - 1):
+                assert_envelope_holds(d, alpha)
+
+    @given(data=st.data(), d=st.integers(5, 10**9))
+    def test_holds_at_large_degrees(self, data, d):
+        assert_envelope_holds(d, data.draw(st.integers(3, d - 2), label="alpha"))
+
+    def test_upper_bound_is_met_where_eps_is_half_the_divisor(self):
+        # The core's top, eps = q/2, is reached at an even q = alpha - 1.
+        for alpha in (3, 5, 9, 21):
+            q = alpha - 1
+            for m in range(1, 6):
+                d = m * q + q // 2 + 1
+                upper, upper_den, _, _ = bounds.castelnuovo_envelope(d, alpha)
+                assert upper_den * bounds.max_genus_pi(d, alpha) == upper, (d, alpha)
 
 
 class TestCastelnuovoProfile:

@@ -232,6 +232,14 @@ class TestQuery:
 
 
 class TestSweep:
+    def test_r9_smoke_matches_the_benchmark_reference(self, capsys):
+        # The recorded sweep-r9 smoke digest (the CSV bytes as printed),
+        # read and never written.  Its rows read sieve.genus_intervals.
+        references = json.loads((SRC.parent / "bench" / "references.json").read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "sweep", "--r", "9", "--d-max", "40")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == references["sweep-r9/smoke"]
+
     def test_csv_contract(self, capsys):
         code, out, _ = run(capsys, "sweep", "--r", "9", "--d-max", "31")
         assert code == 0

@@ -1,6 +1,7 @@
 """Tests for the exclusion sieve, its derived inequalities, the
 hypothesis-range predicate, and the 3-space chain and classification."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -452,6 +453,11 @@ class TestGenusIntervals:
                 assert per_g > 0 and 3 * per_g - per_alpha == 2 * r - 10 > 0, (r, case)
 
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
+        # pi and the profile are each read at most once per alpha, and
+        # only at an alpha with a window interval.  pi is read at every
+        # such alpha unless the envelope (upper_den * pi <= upper) puts
+        # pi below the g_lo of each of its intervals, and some alphas are
+        # settled so.
         profile_calls, pi_calls = [], []
         real_profile, real_pi = bounds.castelnuovo_profile, bounds.max_genus_pi
 
@@ -465,16 +471,43 @@ class TestGenusIntervals:
 
         monkeypatch.setattr(bounds, "castelnuovo_profile", counting_profile)
         monkeypatch.setattr(bounds, "max_genus_pi", counting_pi)
+        settled = 0
         for r in (4, 9, 12):
             for d in range(1, 150):
                 for top in (d // 2, d, 2 * d + 5):
-                    windowed = {(d, alpha) for alpha, _, _, _ in sieve.window_intervals(d, r, top)}
+                    lows = collections.defaultdict(list)
+                    for alpha, _, g_lo, _ in sieve.window_intervals(d, r, top):
+                        lows[alpha].append(g_lo)
+                    windowed = {(d, alpha) for alpha in lows}
+                    unsettled = {
+                        (d, alpha)
+                        for alpha, g_los in lows.items()
+                        if any(8 * (alpha - 1) * g_lo <= (2 * d - 1 - alpha) ** 2 for g_lo in g_los)
+                    }
                     profile_calls.clear()
                     pi_calls.clear()
                     list(sieve.genus_intervals(d, r, top))
                     assert len(profile_calls) == len(set(profile_calls)), (d, r, top)
-                    assert set(profile_calls) <= windowed, (d, r, top)
-                    assert sorted(pi_calls) == sorted(windowed), (d, r, top)
+                    assert len(pi_calls) == len(set(pi_calls)), (d, r, top)
+                    assert unsettled <= set(pi_calls) <= windowed, (d, r, top)
+                    assert set(profile_calls) <= set(pi_calls), (d, r, top)
+                    settled += len(windowed) - len(pi_calls)
+        assert settled > 100
+
+    def test_genus_intervals_are_the_capped_window_intervals(self):
+        # genus_intervals against its definition, each window interval
+        # cut by genus_cap, where the envelope settles most alphas.
+        for r in (*range(4, 13), 40):
+            for d in range(1, 701):
+                caps = {}
+                for top in (2 * d, sieve.range_g_limit(d, r)):
+                    want = []
+                    for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, top):
+                        if alpha not in caps:
+                            caps[alpha] = sieve.genus_cap(d, alpha)
+                        if g_lo <= caps[alpha]:
+                            want.append((alpha, case, g_lo, min(g_hi, caps[alpha])))
+                    assert list(sieve.genus_intervals(d, r, top)) == want, (d, r, top)
 
     def test_genus_cap_is_the_largest_passing_genus(self):
         for d in range(5, 60):
@@ -489,6 +522,65 @@ class TestGenusIntervals:
             list(sieve.genus_intervals(10, 3, 20))
         with pytest.raises(ValueError):
             list(sieve.genus_intervals(0, 5, 20))
+
+
+def brute_negative_run(values, lo, hi):
+    """The x in lo..hi at which the polynomial with values (p(0), p(1),
+    p(2)) is negative, by evaluating it at each."""
+    at_0, at_1, at_2 = values
+    return [x for x in range(lo, hi + 1) if at_0 + x * (at_1 - at_0) + x * (x - 1) // 2 * (at_2 - 2 * at_1 + at_0) < 0]
+
+
+def assert_negative_run(values, lo, hi):
+    first, last = sieve._negative_run(values, lo, hi)
+    assert list(range(first, last + 1)) == brute_negative_run(values, lo, hi), (values, lo, hi)
+    return first, last
+
+
+class TestNegativeRun:
+    @staticmethod
+    def values(poly):
+        return poly(0), poly(1), poly(2)
+
+    @pytest.mark.parametrize(
+        "poly,want",
+        [
+            (lambda x: x * x + 1, None),  # discriminant < 0
+            (lambda x: (x - 3) ** 2, None),  # = 0: zero at 3, never negative
+            (lambda x: (x - 2) * (x - 7), (3, 6)),  # a square, integer roots
+            (lambda x: (2 * x - 3) * (2 * x - 9), (2, 4)),  # a square, roots 1.5 and 4.5
+            (lambda x: (3 * x - 1) * (3 * x - 2), None),  # roots 1/3, 2/3: no integer between
+            (lambda x: x * x - 10, (-3, 3)),  # not a square
+            (lambda x: x * (x - 5) // 2, (1, 4)),  # 2p has an odd x coefficient
+            (lambda x: 3 * x - 7, (-50, 2)),  # linear, rising
+            (lambda x: 7 - 3 * x, (3, 50)),  # linear, falling
+            (lambda x: -1, (-50, 50)),
+            (lambda x: 0, None),
+        ],
+    )
+    def test_against_brute_force(self, poly, want):
+        values = self.values(poly)
+        first, last = assert_negative_run(values, -50, 50)
+        assert ((first, last) if first <= last else None) == want
+        if want is not None:
+            # Clipped at either end and at both.
+            lo, hi = want
+            assert_negative_run(values, lo + 1, 50)
+            assert_negative_run(values, -50, hi - 1)
+            assert_negative_run(values, lo + 1, hi - 1)
+            assert_negative_run(values, hi + 1, 50)
+            assert_negative_run(values, -50, lo - 1)
+        assert_negative_run(values, 5, 4)
+
+    @given(
+        a=st.integers(0, 40),
+        b=st.integers(-10**6, 10**6),
+        c=st.integers(-10**9, 10**9),
+        lo=st.integers(-2000, 2000),
+        width=st.integers(0, 400),
+    )
+    def test_against_brute_force_on_random_quadratics(self, a, b, c, lo, width):
+        assert_negative_run(self.values(lambda x: a * x * x + b * x + c), lo, lo + width)
 
 
 class TestDerivedInequalities:

@@ -181,6 +181,67 @@ def naive_r11(r, d_max):
     return checked, violations, {"survivors": survivors}
 
 
+def interval_walk_r11(r, d_max):
+    """verify_r_ge_11 as it ran before the envelope's certified runs:
+    every (alpha, case) window interval is walked, with genus_cap read
+    once per alpha.  naive_r11 walks every (d, g) and stops at small d;
+    this oracle reaches the degrees where the certified runs are long."""
+    checked, violations, survivors = 0, [], 0
+    for d in range(1, d_max + 1):
+        below_top = sieve.cap_numerator(SieveCase.CASE2, d, 0)
+        above_top = sieve.cap_numerator(SieveCase.CASE4, d, 0)
+        checked += len(range(sieve.least_special_genus(d), 2 * d + 1))
+        found = []
+        fired = {case.index: [] for case in SieveCase}
+        cap_alpha = cap = None
+        for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
+            if alpha != cap_alpha:
+                cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
+            if g_lo <= cap:
+                fired[case.index].append((g_lo, min(g_hi, cap)))
+            if case.below:
+                a_lo = g_lo if 3 * alpha >= below_top else g_hi + 1
+            else:
+                a_lo = max(g_lo, above_top - 3 * alpha)
+            if a_lo > g_hi:
+                continue
+            prof = bounds.castelnuovo_profile(d, alpha)
+            if prof.m2 != 2 or prof.mu2 != 0:
+                a_hi = g_hi
+            elif case.below:
+                a_hi = g_hi if prof.pi2 > d else min(g_hi, cap)
+            else:
+                a_hi = min(g_hi, max(prof.pi2, cap))
+            for g in range(a_lo, a_hi + 1):
+                violation = {
+                    "part": "a",
+                    "d": d,
+                    "g": g,
+                    "alpha": alpha,
+                    "case": case.value,
+                    "m2": prof.m2,
+                    "mu2": prof.mu2,
+                    "pi2": prof.pi2,
+                }
+                found.append(((g, case.index, 0, alpha), violation))
+        surviving = []
+        for case in SieveCase:
+            merged = verify._merged(fired[case.index])
+            surviving.extend(merged)
+            least = verify.r11_least_genus(case, d, r)
+            for g_lo, g_hi in merged:
+                for g in range(g_lo, min(g_hi, least - 1) + 1):
+                    found.append(((g, case.index, 1, 0), {"part": "b", "d": d, "g": g, "case": case.value}))
+        limit = sieve.range_g_limit(d, r)
+        for g_lo, g_hi in verify._merged(surviving):
+            survivors += g_hi - g_lo + 1
+            for g in range(g_lo, min(g_hi, limit) + 1):
+                found.append(((g, len(SieveCase) + 1, 2, 0), {"part": "c", "d": d, "g": g}))
+        found.sort(key=lambda entry: entry[0])
+        violations.extend(violation for _, violation in found)
+    return checked, violations, {"survivors": survivors}
+
+
 def naive_thm_r3(d_max):
     """Parts (a) and (b) of verify_thm_r3 from one r3_sieve per (d, g)."""
     checked, violations, survivors = 0, [], []
@@ -344,13 +405,15 @@ def expected_derived_reads(r, alpha_max, m_max):
     fails (one primary form per (claim, alpha, m) with such a tuple; one
     profile per such tuple passing its own inequality, and one partner
     form per (claim, alpha) and partner quotient met there); the r = 4
-    cross loop reads one profile per (alpha, d) from alpha + 2 up to the
-    last degree where some claim fails; the r = 9 audit one form per
+    cross loop reads one profile per (alpha, d) from the first degree of
+    some claim's universe up to the last degree where some claim fails;
+    the r = 9 audit one form per
     alpha and one profile per m2 = 2 tuple passing the tenth
     inequality."""
     reads = Counter()
-    # alpha -> the last degree where some claim fails.
-    last_failing = Counter()
+    # alpha -> the first degree of some claim's universe, and the last
+    # degree where some claim fails.
+    first_universe, last_failing = {}, Counter()
     for which, _, consequence in LITERAL_CLAIMS[r]:
         partner = LITERAL_PARTNER[which]
         for alpha in range(max(8, r), alpha_max + 1):
@@ -358,7 +421,10 @@ def expected_derived_reads(r, alpha_max, m_max):
             for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
                 i, j = d + 1 - 3 * alpha, d - 3 * alpha
                 side = i if which in (Ineq.INEQ7, Ineq.INEQ8) else j
-                if d < alpha + 2 or side < 0 or consequence(alpha, m, eps, mu, i, j):
+                if d < alpha + 2 or side < 0:
+                    continue
+                first_universe[alpha] = min(first_universe.get(alpha, d), d)
+                if consequence(alpha, m, eps, mu, i, j):
                     continue
                 failing_m.add(m)
                 last_failing[alpha] = max(last_failing[alpha], d)
@@ -369,7 +435,7 @@ def expected_derived_reads(r, alpha_max, m_max):
             reads["form"] += len(failing_m) + len(partner_m)
     for alpha in range(max(8, r), alpha_max + 1):
         if r == 4:
-            reads["profile"] += len(range(alpha + 2, last_failing[alpha] + 1))
+            reads["profile"] += len(range(first_universe[alpha], last_failing[alpha] + 1))
         if r == 9:
             reads["form"] += 1
             for m, eps, mu, d in _consistent_tuples(Ineq.INEQ10, alpha, 2):
@@ -724,6 +790,33 @@ class TestHighR:
         with pytest.raises(ValueError):
             verify.verify_r_ge_11(10, 50)
 
+    @pytest.mark.parametrize("r", [11, 12, 20])
+    def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
+        # Over each case-1/2 run, the capped intervals read exactly join
+        # into [g_lo at its last alpha, g_max]; and the runs hold most
+        # alphas below (a)'s boundary.
+        in_runs = below_boundary = 0
+        for d in range(1, 301):
+            top = (sieve.cap_numerator(SieveCase.CASE2, d, 0) - 1) // 3
+            envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
+            for span in sieve._spans(d, r, 2 * d):
+                if not span.case.below:
+                    continue
+                last = verify._certified_run(span, envelope, top)
+                assert span.alpha_lo - 1 <= last <= min(span.alpha_hi, top), (d, r, span)
+                below_boundary += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
+                if last < span.alpha_lo:
+                    continue
+                in_runs += last - span.alpha_lo + 1
+                capped = []
+                for alpha in range(span.alpha_lo, last + 1):
+                    g_lo, g_hi = span.interval(alpha)
+                    cap = sieve.genus_cap(d, alpha)
+                    if g_lo <= cap:
+                        capped.append((g_lo, min(g_hi, cap)))
+                assert verify._merged(capped) == [[span.interval(last)[0], span.g_max]], (d, r, span)
+        assert in_runs > below_boundary // 2
+
     def test_least_genus_is_where_the_degree_bound_starts(self):
         # Step (b) expands only the g below each case's least genus.
         for r in range(11, 21):
@@ -996,6 +1089,19 @@ class TestAgainstPerPointOracles:
         if mutation is caps_raised_by_40:
             assert parts == {"a", "b", "c"}
         assert report_parts(verify.verify_r_ge_11(r, 80)) == (checked, violations, audit)
+
+    @pytest.mark.parametrize("r", [11, 12, 13, 20])
+    @pytest.mark.parametrize(
+        "mutation", [REAL_PROFILE, caps_raised_by_40, pi2_raised_by_1, drop_mu2_case], ids=lambda m: m.__name__
+    )
+    def test_r11_against_the_interval_walk(self, monkeypatch, r, mutation):
+        # naive_r11 stops at d = 80; this reaches d = 400, where the
+        # case-1/2 certified runs are long.  A raised cap keeps the
+        # envelope's lower bound, so the runs stand under each mutation.
+        monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
+        report = verify.verify_r_ge_11(r, 400)
+        assert report_parts(report) == interval_walk_r11(r, 400)
+        assert report.ok == (mutation is REAL_PROFILE)
 
     @pytest.mark.parametrize("d_max", [10, 60, 200])
     def test_thm_r3(self, d_max):
