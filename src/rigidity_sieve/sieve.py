@@ -176,34 +176,6 @@ def embed_dim_cap(d: int, g: int) -> int:
     return alpha_cap(SieveCase.CASE1 if d <= g else SieveCase.CASE3, d, g)
 
 
-def case_alpha_range(case: SieveCase, d: int, g: int, r: int) -> tuple[int, int]:
-    """The alpha window (lo, hi) of a case, empty when lo > hi.
-
-    lo is the least alpha >= r with case_slack >= 0: each slack is linear
-    and increasing in alpha, so lo is read off its values at alpha = 0
-    and 1.  hi is the case's alpha_cap, which is never above the
-    embedding cap of (d, g).
-    """
-    at0 = case_slack(case, d, g, r, 0)
-    return max(r, -(at0 // (case_slack(case, d, g, r, 1) - at0))), alpha_cap(case, d, g)
-
-
-def _case_windows(d: int, r: int, g_min: int, g_max: int) -> Iterator[tuple]:
-    """(case, g_lo, g_hi, alpha_lo, alpha_hi) in case order, for each case
-    with an alpha on g_min..g_max: the case applies on g_lo..g_hi (d < g
-    in cases 1/2, d >= g in 3/4), and alpha_lo..alpha_hi span its windows
-    (case_alpha_range) there: the floor read at g_hi, as the slack rises
-    with g, and the ceiling at g_lo, as the alpha cap does not."""
-    for case in SieveCase:
-        g_lo, g_hi = (max(g_min, d + 1), g_max) if case.below else (g_min, min(g_max, d))
-        if g_lo > g_hi:
-            continue
-        alpha_lo = case_alpha_range(case, d, g_hi, r)[0]
-        alpha_hi = alpha_cap(case, d, g_lo)
-        if alpha_lo <= alpha_hi:
-            yield case, g_lo, g_hi, alpha_lo, alpha_hi
-
-
 # The paper's third genus-cap step also asks g < pi1.  That never binds:
 # pi2 <= pi1 - 1 whenever d >= 2*alpha + 3.  With n = d - 1 and
 # F_q(n) = sum of floor(j/q) over j <= n, pi1 = F_alpha(n) + mu1 and
@@ -245,12 +217,12 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     iterator reaches it.
 
     One ascending walk over the union of the applicable case windows
-    (_case_windows at g): the genus caps and the profile do not depend
-    on the case, so each is evaluated once per alpha.  The union has no
-    gap, since the first case's window ends at or one above the
-    second's.  The gates of scan are not applied here.
+    (the alpha windows of _spans at g): the genus caps and the profile
+    do not depend on the case, so each is evaluated once per alpha.  The
+    union has no gap, since the first case's window ends at or one above
+    the second's.  The gates of scan are not applied here.
     """
-    windows = [(case, lo, hi) for case, _, _, lo, hi in _case_windows(d, r, g, g)]
+    windows = [(span.case, span.alpha_lo, span.alpha_hi) for span in _spans(d, r, g, g)]
     if not windows:
         return
     i_top = cap_numerator(SieveCase.CASE1, d, g)
@@ -335,10 +307,10 @@ def scan_streamed(d: int, g: int, r: int) -> Verdict:
 
 class _Span(NamedTuple):
     """One case's window intervals at one degree: at each alpha of
-    alpha_lo..alpha_hi, the g of interval(alpha).  The case's slack is
-    at_zero + per_g*g + per_alpha*alpha, and in cases 3/4 the alpha cap
-    reads g <= cap_top - 3*alpha (cap_top is None in cases 1/2, whose
-    alpha caps read no g)."""
+    alpha_lo..alpha_hi, the g of interval(alpha), within g_min..g_max.
+    The case's slack is at_zero + per_g*g + per_alpha*alpha, and in
+    cases 3/4 the alpha cap reads g <= cap_top - 3*alpha (cap_top is
+    None in cases 1/2, whose alpha caps read no g)."""
 
     case: SieveCase
     g_min: int
@@ -358,33 +330,51 @@ class _Span(NamedTuple):
         return g_lo, g_hi
 
 
-def _spans(d: int, r: int, g_top: int) -> list:
-    """The _Span of each case with a window interval at degree d, in
-    case order: the case's _case_windows over the special g <= g_top,
-    its alpha window cut in cases 3/4 (see window_intervals)."""
-    _check_domain(d, r)
+def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
+    """The _Span of each case with an alpha on g_min..g_max, in case
+    order; the one setup of a case's window.
+
+    The case applies on its g sub-range (d < g in cases 1/2, d >= g in
+    3/4).  Its alpha window starts at the least alpha >= r whose slack
+    is >= 0 at the sub-range's top g, as the slack rises with g and with
+    alpha, and ends at the alpha cap at its least g, as the cap does not
+    rise with g.  At g_min = g_max that is the case's slack-feasible
+    window at g.  In cases 3/4 the window is cut to the alphas at which
+    the slack's g floor is at most the alpha cap's g ceiling, so no
+    alpha of a span has an empty interval.
+    """
     spans = []
-    for case, g_min, g_max, alpha_lo, alpha_hi in _case_windows(d, r, least_special_genus(d), g_top):
+    for case in SieveCase:
+        g_lo, g_hi = (max(g_min, d + 1), g_max) if case.below else (g_min, min(g_max, d))
+        if g_lo > g_hi:
+            continue
         at_zero = case_slack(case, d, 0, r, 0)
         per_g = case_slack(case, d, 1, r, 0) - at_zero
         per_alpha = case_slack(case, d, 0, r, 1) - at_zero
+        alpha_lo = max(r, -((at_zero + per_g * g_hi) // per_alpha))
+        alpha_hi = alpha_cap(case, d, g_lo)
         # cap_top: alpha <= alpha_cap(case, d, g) means g <= cap_top - 3*alpha
         # in cases 3/4; the alpha caps of cases 1/2 do not depend on g.
         cap_top = None if case.below else cap_numerator(case, d, 0)
-        if cap_top is not None:
+        if cap_top is not None and alpha_lo <= alpha_hi:
             # The slack's g floor, ceil(-(at_zero + per_alpha*alpha) / per_g),
             # is at most cap_top - 3*alpha iff coef*alpha <= bound.  Both
-            # per_g (r - 3 or r - 4) and coef (2r - 10) are > 0, as cases
-            # 3/4 have no window below r = 6: at r = 4, 5 and g <= d the
-            # slack's alpha floor, about 0.8d or 0.67d in case 3 and at
-            # least about d in case 4, lies above the alpha cap, which is
-            # at most d/2 at g >= least_special_genus(d).
+            # per_g (r - 3 or r - 4) and coef (2r - 10) are > 0 from r = 6
+            # on, and at r = 4, 5 cases 3/4 reach here with no window:
+            # - at one g (g_min = g_max): with 3*alpha at most 2d - g + 1
+            #   (case 3) or 2d - g (case 4), the slack is at most 5 - 2d
+            #   or 4 - 2d at r = 5, and three times it at most
+            #   14 - 5d - 2g or 12 - 5d - 2g at r = 4; so a window needs
+            #   d <= 2, where the alpha cap is at most 1 < r;
+            # - over g_min >= least_special_genus(d): the slack's alpha
+            #   floor, read at g <= d, about 0.8d or 0.67d in case 3 and at
+            #   least about d in case 4, lies above the alpha cap, which
+            #   is at most d/2 there.
             coef = 3 * per_g - per_alpha
             bound = per_g * cap_top + at_zero
             alpha_hi = min(alpha_hi, bound // coef)
-            if alpha_lo > alpha_hi:
-                continue
-        spans.append(_Span(case, g_min, g_max, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
+        if alpha_lo <= alpha_hi:
+            spans.append(_Span(case, g_lo, g_hi, alpha_lo, alpha_hi, at_zero, per_g, per_alpha, cap_top))
     return spans
 
 
@@ -443,23 +433,6 @@ def _negative_run(values: tuple, lo: int, hi: int) -> tuple[int, int]:
     return max(first, lo), min(last, hi)
 
 
-def window_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
-    """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
-    (alpha, case) with a g <= g_top at which scan's gates pass, the case
-    applies and alpha lies in the case's window (case_alpha_range):
-    those g are exactly g_lo..g_hi.  The genus caps are not applied.
-
-    Every such condition is monotone in g, so the g form one interval:
-    the gates and the case split bound g below (cases 3/4 also above,
-    by d), the slack is linear in g with coefficient r - 3 or r - 4,
-    and the alpha caps of cases 3/4 bound g above.  The alphas of a
-    case are those of its _case_windows, cut in cases 3/4 to those at
-    which the slack's g floor is at most the alpha cap's g ceiling; so
-    no alpha yielded has an empty interval.
-    """
-    return _span_intervals([(span, span.alpha_lo, span.alpha_hi) for span in _spans(d, r, g_top)])
-
-
 def _unsettled(span: _Span, envelope: list) -> list:
     """The pieces (span, lo, hi) of the span's alphas at which the
     envelope does not show pi(d, alpha) < g_lo, at most two; envelope
@@ -487,15 +460,22 @@ def _unsettled(span: _Span, envelope: list) -> list:
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
     (alpha, case) that is a witness of scan(d, g, r) for some g <= g_top:
-    the window_intervals cut by genus_cap(d, alpha), which depends on
-    (d, alpha) only.
+    the window intervals of the _spans over the special g <= g_top, cut
+    by genus_cap(d, alpha), which depends on (d, alpha) only.
+
+    Every condition of scan but the genus caps is monotone in g, so the
+    g of one (alpha, case) form one interval: the gates and the case
+    split bound g below (cases 3/4 also above, by d), the slack is
+    linear in g with coefficient r - 3 or r - 4, and the alpha caps of
+    cases 3/4 bound g above.
 
     An (alpha, case) at which the closed-form envelope already puts
     pi(d, alpha) below g_lo is skipped unread (_unsettled); the others
     go through the exact path.  As in genus_caps_ok, pi(d, alpha) is read
     once per alpha with such an interval, and the profile only once
     some interval of that alpha reaches down to pi."""
-    spans = _spans(d, r, g_top)
+    _check_domain(d, r)
+    spans = _spans(d, r, least_special_genus(d), g_top)
     if not spans:
         return
     envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]

@@ -509,7 +509,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         fired = {case.index: [] for case in SieveCase}
         envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
         pieces = []
-        for span in sieve._spans(d, r, 2 * d):
+        for span in sieve._spans(d, r, sieve.least_special_genus(d), 2 * d):
             lo = span.alpha_lo
             if span.case.below:
                 # Below (a)'s boundary, 3*alpha < below_top.

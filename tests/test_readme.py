@@ -1,23 +1,29 @@
-"""The README's library quick tour, run as a doctest, and the module
-and private names the README cites.
+"""The README's library quick tour, run as a doctest, and the module,
+private and snake_case names the README cites.
 
 `python -m doctest README.md` cannot run the tour, since the closing
 fence reads as expected output of the last example; so the fenced
 `python` block is extracted and run on its own.
 """
 
+import ast
 import doctest
 import importlib
+import inspect
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 MODULES = ("bounds", "sieve", "verify", "cli", "surfaces")
 # A module-qualified name such as `sieve.scan`, not preceded by a word
 # character or a dot (so not `rigidity_sieve.bounds`).
 CITED_NAME = re.compile(rf"(?<![\w.])({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
-# A bare private name in backticks, such as `_case_windows`.
+# A bare private name in backticks, such as `_spans`.
 CITED_PRIVATE = re.compile(r"`(_[A-Za-z]\w*)`")
+# A bare snake_case name in backticks, such as `genus_cap` or
+# `iter_witnesses(d, g, r)`.
+CITED_SNAKE = re.compile(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\([^`]*\))?`")
 
 
 def test_quick_tour_runs():
@@ -42,4 +48,23 @@ def test_cited_private_names_resolve():
     assert cited
     modules = [importlib.import_module(f"rigidity_sieve.{module}") for module in MODULES]
     missing = [name for name in cited if not any(hasattr(module, name) for module in modules)]
+    assert missing == []
+
+
+def test_cited_snake_case_names_resolve():
+    # Each resolves to an attribute of a package module, a top-level def
+    # of a test file (the naive oracles and mutations) or a parameter of
+    # a package function.
+    cited = sorted(set(CITED_SNAKE.findall(README.read_text(encoding="utf-8"))))
+    assert len(cited) >= 20
+    modules = [importlib.import_module(f"rigidity_sieve.{module}") for module in MODULES]
+    known = {name for module in modules for name in vars(module)}
+    for path in TESTS.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        known.update(node.name for node in tree.body if isinstance(node, ast.FunctionDef))
+    for module in modules:
+        for function in vars(module).values():
+            if callable(function) and not isinstance(function, type) and getattr(function, "__module__", None) == module.__name__:
+                known.update(inspect.signature(function).parameters)
+    missing = [name for name in cited if name not in known]
     assert missing == []

@@ -58,6 +58,12 @@ def naive_scan_config_list(d, g, r):
     return out
 
 
+def naive_alpha_window(case, d, g, r):
+    """The alpha window of a case at (d, g), spelled out: every
+    alpha >= r with case_slack >= 0 and alpha <= alpha_cap."""
+    return [alpha for alpha in range(r, sieve.alpha_cap(case, d, g) + 1) if sieve.case_slack(case, d, g, r, alpha) >= 0]
+
+
 def naive_derived_slack(which, r, alpha, m, eps, mu):
     """Twice each derived inequality, expanded as a polynomial in
     (alpha, m, eps, mu); (m, eps, mu) in the convention of which."""
@@ -165,19 +171,36 @@ class TestCaseMachinery:
                 numerators = [sieve.cap_numerator(case, d, g) for case in SieveCase]
                 assert numerators == [d + 1, d, 2 * d - g + 1, 2 * d - g]
 
-    def test_case_alpha_range_is_the_slack_feasible_window(self):
-        for r in (4, 9, 12):
+    def test_single_g_spans_are_the_slack_feasible_windows(self):
+        # Every case at every g: a case that does not apply has no span.
+        # At r = 4, 5 the small degrees are where cases 3/4 come closest
+        # to a window (see _spans).
+        for r in (4, 5, 9, 12):
             for d in range(1, 60):
-                for g in range(1, 2 * d + 2):
-                    cap = naive_embed_dim_cap(d, g)
+                for g in range(0, 2 * d + 2):
+                    spans = {span.case: span for span in sieve._spans(d, r, g, g)}
                     for case in SieveCase:
-                        lo, hi = sieve.case_alpha_range(case, d, g, r)
-                        want = [
-                            alpha
-                            for alpha in range(r, min(cap, sieve.alpha_cap(case, d, g)) + 1)
-                            if sieve.case_slack(case, d, g, r, alpha) >= 0
-                        ]
-                        assert list(range(lo, hi + 1)) == want
+                        want = naive_alpha_window(case, d, g, r) if case.below == (d < g) else []
+                        span = spans.get(case)
+                        got = [] if span is None else list(range(span.alpha_lo, span.alpha_hi + 1))
+                        assert got == want, (case, d, g, r)
+                        assert span is None or (span.g_min, span.g_max) == (g, g)
+
+    @given(d=st.integers(1, 2**63 - 1), g=st.integers(0, 2**63 - 1), r=st.integers(4, 40))
+    def test_single_g_spans_are_the_slack_feasible_windows_at_large_inputs(self, d, g, r):
+        # The window cross-multiplied: alpha_cap is its top, and its
+        # floor the least alpha >= r whose slack is >= 0 (the slack rises
+        # with alpha); it is empty iff the slack at the cap is negative.
+        spans = {span.case: span for span in sieve._spans(d, r, g, g)}
+        for case in SieveCase:
+            cap = sieve.alpha_cap(case, d, g)
+            if case.below != (d < g) or cap < r or sieve.case_slack(case, d, g, r, cap) < 0:
+                assert case not in spans, case
+                continue
+            lo, hi = spans[case].alpha_lo, spans[case].alpha_hi
+            assert hi == cap and r <= lo <= hi, case
+            assert sieve.case_slack(case, d, g, r, lo) >= 0, case
+            assert lo == r or sieve.case_slack(case, d, g, r, lo - 1) < 0, case
 
     def test_alpha_cap_never_exceeds_embedding_cap(self):
         for d in range(1, 120):
@@ -281,8 +304,7 @@ class TestScan:
                     union = set()
                     for case in SieveCase:
                         if (case in (SieveCase.CASE1, SieveCase.CASE2)) == (d < g):
-                            lo, hi = sieve.case_alpha_range(case, d, g, r)
-                            union.update(range(lo, hi + 1))
+                            union.update(naive_alpha_window(case, d, g, r))
                     seen.clear()
                     sieve.scan(d, g, r)
                     assert seen == sorted(union), (d, g, r)
@@ -352,8 +374,15 @@ def expanded_intervals(d, r, top):
     return out
 
 
+def uncapped_intervals(d, r, top):
+    """The window intervals (alpha, case, g_lo, g_hi) of the _spans
+    over the special g <= top, before the genus caps."""
+    spans = sieve._spans(d, r, sieve.least_special_genus(d), top)
+    return list(sieve._span_intervals([(span, span.alpha_lo, span.alpha_hi) for span in spans]))
+
+
 def naive_window_intervals(d, r, top):
-    """window_intervals spelled out, before the genus caps: every
+    """The window intervals spelled out, before the genus caps: every
     alpha >= r of every case, with the g <= top at which the gates pass,
     the case applies, case_slack >= 0 and 3*alpha is at most
     cap_numerator.  Both are linear in g, so each bound is read off
@@ -429,28 +458,46 @@ class TestGenusIntervals:
         # not show through scan.  The cases-3/4 alpha bound has the
         # coefficient 2r - 10; those cases have windows from r = 7 on
         # (case 4 from r = 8), and there it binds.  At r = 4, 5 and 6,
-        # where it is negative, zero and positive, _case_windows already
-        # gives them none, so those r check cases 1/2 and the emptiness.
+        # where it is negative, zero and positive, _spans gives them no
+        # window, so those r check cases 1/2 and the emptiness.
         for r in (4, 5, 6, 7, 12):
             for d in range(1, 301):
                 for top in (d - 1, d, 2 * d, sieve.range_g_limit(d, r)):
-                    assert list(sieve.window_intervals(d, r, top)) == naive_window_intervals(d, r, top), (d, r, top)
+                    assert uncapped_intervals(d, r, top) == naive_window_intervals(d, r, top), (d, r, top)
 
     def test_cases_3_4_alpha_bound_divides_by_positive_coefficients(self):
-        # window_intervals divides by per_g and by coef = 3*per_g - per_alpha
-        # in cases 3/4 with no sign test: both are > 0 from r = 6 on, and
-        # below it _case_windows yields those cases no window.
+        # _spans divides by per_g and by coef = 3*per_g - per_alpha in
+        # cases 3/4 with no sign test: both are > 0 from r = 6 on, and
+        # below it those cases have no window before the cut (the slack
+        # at the top g is negative at the alpha cap of the least g).
         for r in (4, 5):
             for d in range(1, 3001):
+                g_min = sieve.least_special_genus(d)
                 for top in (d - 1, d, 2 * d, 3 * d):
-                    windows = sieve._case_windows(d, r, sieve.least_special_genus(d), top)
-                    assert all(window[0].below for window in windows), (d, r, top)
+                    spans = sieve._spans(d, r, g_min, top)
+                    assert all(span.case.below for span in spans), (d, r, top)
+                    if g_min <= min(top, d):
+                        for case in (SieveCase.CASE3, SieveCase.CASE4):
+                            cap = sieve.alpha_cap(case, d, g_min)
+                            assert cap < r or sieve.case_slack(case, d, min(top, d), r, cap) < 0, (d, r, top)
         for r in range(6, 41):
             for case in (SieveCase.CASE3, SieveCase.CASE4):
                 at_zero = sieve.case_slack(case, 100, 0, r, 0)
                 per_g = sieve.case_slack(case, 100, 1, r, 0) - at_zero
                 per_alpha = sieve.case_slack(case, 100, 0, r, 1) - at_zero
                 assert per_g > 0 and 3 * per_g - per_alpha == 2 * r - 10 > 0, (r, case)
+
+    @given(d=st.integers(1, 2**63 - 1), g=st.integers(0, 2**63 - 1), r=st.sampled_from((4, 5)))
+    def test_cases_3_4_have_no_window_at_one_g_below_r_6(self, d, g, r):
+        # iter_witnesses reads _spans at one g, where the cut would divide
+        # by coef = 0 at r = 5 (and by -2 at r = 4): cases 3/4 never reach
+        # it there, as their window at g is empty.  The CLI's query
+        # accepts d and g up to 2**63 - 1.
+        assert all(span.case.below for span in sieve._spans(d, r, g, g))
+        if d >= g:
+            for case in (SieveCase.CASE3, SieveCase.CASE4):
+                cap = sieve.alpha_cap(case, d, g)
+                assert cap < r or sieve.case_slack(case, d, g, r, cap) < 0, case
 
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
         # pi and the profile are each read at most once per alpha, and
@@ -476,7 +523,7 @@ class TestGenusIntervals:
             for d in range(1, 150):
                 for top in (d // 2, d, 2 * d + 5):
                     lows = collections.defaultdict(list)
-                    for alpha, _, g_lo, _ in sieve.window_intervals(d, r, top):
+                    for alpha, _, g_lo, _ in uncapped_intervals(d, r, top):
                         lows[alpha].append(g_lo)
                     windowed = {(d, alpha) for alpha in lows}
                     unsettled = {
@@ -502,7 +549,7 @@ class TestGenusIntervals:
                 caps = {}
                 for top in (2 * d, sieve.range_g_limit(d, r)):
                     want = []
-                    for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, top):
+                    for alpha, case, g_lo, g_hi in uncapped_intervals(d, r, top):
                         if alpha not in caps:
                             caps[alpha] = sieve.genus_cap(d, alpha)
                         if g_lo <= caps[alpha]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rigidity_sieve import bounds, cli, sieve, surfaces, verify
 from rigidity_sieve.sieve import Ineq, SieveCase
 from rigidity_sieve.surfaces import DivisorClass
+from test_sieve import naive_alpha_window, uncapped_intervals
 
 REAL_PROFILE = bounds.castelnuovo_profile
 
@@ -147,8 +148,10 @@ def naive_r11(r, d_max):
                 cases = ((SieveCase.CASE3, boundary), (SieveCase.CASE4, boundary))
             is_survivor = False
             for case, boundary_lo in cases:
-                lo, hi = sieve.case_alpha_range(case, d, g, r)
-                for alpha in range(max(lo, boundary_lo), hi + 1):
+                window = naive_alpha_window(case, d, g, r)
+                for alpha in window:
+                    if alpha < boundary_lo:
+                        continue
                     prof = bounds.castelnuovo_profile(d, alpha)
                     pi2_cap = d if case in (SieveCase.CASE1, SieveCase.CASE2) else g - 1
                     shape_ok = (
@@ -170,7 +173,7 @@ def naive_r11(r, d_max):
                                 "pi2": prof.pi2,
                             }
                         )
-                if any(sieve.genus_caps_ok(d, g, alpha) for alpha in range(lo, hi + 1)):
+                if any(sieve.genus_caps_ok(d, g, alpha) for alpha in window):
                     is_survivor = True
                     if not case_bounds[case](d, g):
                         violations.append({"part": "b", "d": d, "g": g, "case": case.value})
@@ -194,7 +197,7 @@ def interval_walk_r11(r, d_max):
         found = []
         fired = {case.index: [] for case in SieveCase}
         cap_alpha = cap = None
-        for alpha, case, g_lo, g_hi in sieve.window_intervals(d, r, 2 * d):
+        for alpha, case, g_lo, g_hi in uncapped_intervals(d, r, 2 * d):
             if alpha != cap_alpha:
                 cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
             if g_lo <= cap:
@@ -799,7 +802,7 @@ class TestHighR:
         for d in range(1, 301):
             top = (sieve.cap_numerator(SieveCase.CASE2, d, 0) - 1) // 3
             envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
-            for span in sieve._spans(d, r, 2 * d):
+            for span in sieve._spans(d, r, sieve.least_special_genus(d), 2 * d):
                 if not span.case.below:
                     continue
                 last = verify._certified_run(span, envelope, top)
