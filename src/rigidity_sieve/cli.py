@@ -342,8 +342,6 @@ def cmd_split(args: argparse.Namespace) -> int:
     payload = {"schema": SCHEMA, "command": "split", "input": {"a": args.a, "b": args.b, "e": args.e}}
     try:
         cert = surfaces.find_stable_split(divisor)
-        if cert is None:
-            raise ValueError("no split into smooth classes meeting in >= 3 points")
     except ValueError as exc:
         code, text = 1, f"no certificate: {exc}\n"
         payload.update(certificate=None, diagnostic=str(exc))

@@ -346,7 +346,12 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
     spans = []
     for case in SieveCase:
         g_lo, g_hi = (max(g_min, d + 1), g_max) if case.below else (g_min, min(g_max, d))
-        if g_lo > g_hi:
+        # At r = 4, 5 cases 3/4 have no alpha at any g: with 3*alpha at
+        # most 2d - g + 1 (case 3) or 2d - g (case 4), the slack is at
+        # most 5 - 2d or 4 - 2d at r = 5, and three times it at most
+        # 14 - 5d - 2g or 12 - 5d - 2g at r = 4; so an alpha needs
+        # d <= 2, where the alpha cap is at most 1 < r.
+        if g_lo > g_hi or (not case.below and r <= 5):
             continue
         at_zero = case_slack(case, d, 0, r, 0)
         per_g = case_slack(case, d, 1, r, 0) - at_zero
@@ -358,18 +363,8 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
         cap_top = None if case.below else cap_numerator(case, d, 0)
         if cap_top is not None and alpha_lo <= alpha_hi:
             # The slack's g floor, ceil(-(at_zero + per_alpha*alpha) / per_g),
-            # is at most cap_top - 3*alpha iff coef*alpha <= bound.  Both
-            # per_g (r - 3 or r - 4) and coef (2r - 10) are > 0 from r = 6
-            # on, and at r = 4, 5 cases 3/4 reach here with no window:
-            # - at one g (g_min = g_max): with 3*alpha at most 2d - g + 1
-            #   (case 3) or 2d - g (case 4), the slack is at most 5 - 2d
-            #   or 4 - 2d at r = 5, and three times it at most
-            #   14 - 5d - 2g or 12 - 5d - 2g at r = 4; so a window needs
-            #   d <= 2, where the alpha cap is at most 1 < r;
-            # - over g_min >= least_special_genus(d): the slack's alpha
-            #   floor, read at g <= d, about 0.8d or 0.67d in case 3 and at
-            #   least about d in case 4, lies above the alpha cap, which
-            #   is at most d/2 there.
+            # is at most cap_top - 3*alpha iff coef*alpha <= bound, as
+            # per_g (r - 3 or r - 4) and coef (2r - 10) are > 0 at r >= 6.
             coef = 3 * per_g - per_alpha
             bound = per_g * cap_top + at_zero
             alpha_hi = min(alpha_hi, bound // coef)
@@ -693,8 +688,6 @@ def r3_classify(d: int, g: int) -> R3Classification:
         return R3Classification(OUT_OF_SCOPE)
     max_g = bounds.max_genus_pi(d, 3) if d >= 3 else 0
     if g > max_g:
-        return R3Classification(EMPTY)
-    if d == g + 1 and g <= 5:
         return R3Classification(EMPTY)
     if (d, g) == (9, 11):
         return R3Classification(EMPTY)

@@ -3,16 +3,14 @@
 Classes aC0 + bf on X_e carry the intersection pairing C0^2 = -e,
 C0.f = 1, f^2 = 0.  The split machinery produces certificates that a
 class with genus >= 2 degenerates to a union of two smooth irreducible
-curves meeting in >= 3 points (a singular stable curve); the three
-constructions tried first are the canonical ones (section + residual,
-minimal-section multiples, section + comb), then a bounded exhaustive
-search.
+curves meeting in >= 3 points (a singular stable curve).  One of three
+closed-form constructions (minimal-section multiples, section + comb,
+residual + fiber) covers every such class, so no search is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -84,25 +82,20 @@ def smooth_irreducible_exists(d: DivisorClass) -> bool:
     return d.b >= d.a * d.e
 
 
-def _certificate(d1: DivisorClass, d2: DivisorClass, total: DivisorClass) -> Optional[SplitCertificate]:
-    if d1.a + d2.a != total.a or d1.b + d2.b != total.b:
-        return None
-    if not (smooth_irreducible_exists(d1) and smooth_irreducible_exists(d2)):
-        return None
-    n = intersect(d1, d2)
-    if n < 3:
-        return None
-    return SplitCertificate(d1, d2, n)
-
-
-def find_stable_split(d: DivisorClass) -> Optional[SplitCertificate]:
+def find_stable_split(d: DivisorClass) -> SplitCertificate:
     """Split D into two smooth irreducible classes meeting in >= 3 points.
 
-    Requires a >= 2, genus >= 2 and a smooth irreducible representative.
-    Tries, in order: D = (D - f) + f; the minimal-section split
-    (1,e) + (a-1)(1,e); the section-plus-comb split (1,0) + (1,b); then
-    an exhaustive search over 0 <= a1 <= a, 0 <= b1 <= b in lexicographic
-    (a1, b1) order.  Returns None if nothing qualifies.
+    Requires a >= 2, genus >= 2 and a smooth irreducible representative;
+    every such class splits.  The residual-plus-fiber split (D - f) + f
+    comes first, and fails exactly where one of the other two applies:
+    - b = ae: the minimal-section split (1,e) + (a-1)(1,e), meeting in
+      (a-1)e points.  Here e >= 1, as (a, 0) is not smooth on X_0,
+      and the genus (a-1)(ae-2)/2 is 0 or 1 at (a-1)e <= 2, so (a-1)e >= 3.
+    - a = 2: the section-plus-comb split (1,0) + (1,b), meeting in
+      b - e = genus + 1 >= 3 points.
+    - a >= 3: D = (D - f) + f, meeting in a >= 3 points.  (a, b-1) is
+      smooth: b >= ae + 1 when e >= 1, as b != ae, and genus
+      (a-1)(b-1) >= 2 gives b >= 2 when e = 0.
     """
     if d.a < 2:
         raise ValueError(f"need a >= 2, got {d}")
@@ -110,27 +103,10 @@ def find_stable_split(d: DivisorClass) -> Optional[SplitCertificate]:
         raise ValueError(f"no smooth irreducible curve in class {d}")
     if arith_genus(d) < 2:
         raise ValueError(f"genus {arith_genus(d)} below stability threshold")
-
-    canonical = []
-    if d.b >= 1:
-        canonical.append((DivisorClass(d.a, d.b - 1, d.e), DivisorClass(0, 1, d.e)))
     if d.b == d.a * d.e:
-        canonical.append(
-            (DivisorClass(1, d.e, d.e), DivisorClass(d.a - 1, (d.a - 1) * d.e, d.e))
-        )
-    if d.a == 2:
-        canonical.append((DivisorClass(1, 0, d.e), DivisorClass(1, d.b, d.e)))
-    for d1, d2 in canonical:
-        cert = _certificate(d1, d2, d)
-        if cert is not None:
-            return cert
-
-    for a1 in range(0, d.a + 1):
-        for b1 in range(0, d.b + 1):
-            d1 = DivisorClass(a1, b1, d.e)
-            d2 = DivisorClass(d.a - a1, d.b - b1, d.e)
-            cert = _certificate(d1, d2, d)
-            if cert is not None:
-                return cert
-    return None
-
+        d1, d2 = DivisorClass(1, d.e, d.e), DivisorClass(d.a - 1, (d.a - 1) * d.e, d.e)
+    elif d.a == 2:
+        d1, d2 = DivisorClass(1, 0, d.e), DivisorClass(1, d.b, d.e)
+    else:
+        d1, d2 = DivisorClass(d.a, d.b - 1, d.e), DivisorClass(0, 1, d.e)
+    return SplitCertificate(d1, d2, intersect(d1, d2))

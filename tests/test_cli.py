@@ -582,6 +582,18 @@ class TestSplit:
             '  "diagnostic": "no smooth irreducible curve in class DivisorClass(a=3, b=2, e=1)"\n}\n'
         )
 
+    def test_input_ceiling(self, capsys):
+        # The largest class the CLI accepts, b = ae on X_1, splits at once.
+        top = 2**63 - 1
+        argv = ("split", "--a", str(top), "--b", str(top), "--e", "1")
+        d1, d2, n = [1, 1, 1], [top - 1, top - 1, 1], top - 1
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == f"{tuple(d1)} + {tuple(d2)} intersection {n}\n"
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["certificate"] == {"d1": d1, "d2": d2, "intersection": n}
+
     def test_invalid_class_exits_2(self, capsys):
         code, _, err = run(capsys, "split", "--a", "-1", "--b", "3", "--e", "1")
         assert code == 2

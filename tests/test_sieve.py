@@ -64,6 +64,16 @@ def naive_alpha_window(case, d, g, r):
     return [alpha for alpha in range(r, sieve.alpha_cap(case, d, g) + 1) if sieve.case_slack(case, d, g, r, alpha) >= 0]
 
 
+def naive_span_windows(d, r, top):
+    """For each case, the alpha window at every g = 0..top, spelled out:
+    naive_alpha_window where the case applies (d < g in cases 1/2,
+    d >= g in 3/4), else empty."""
+    return {
+        case: [set(naive_alpha_window(case, d, g, r)) if case.below == (d < g) else set() for g in range(top + 1)]
+        for case in SieveCase
+    }
+
+
 def naive_derived_slack(which, r, alpha, m, eps, mu):
     """Twice each derived inequality, expanded as a polynomial in
     (alpha, m, eps, mu); (m, eps, mu) in the convention of which."""
@@ -467,9 +477,10 @@ class TestGenusIntervals:
 
     def test_cases_3_4_alpha_bound_divides_by_positive_coefficients(self):
         # _spans divides by per_g and by coef = 3*per_g - per_alpha in
-        # cases 3/4 with no sign test: both are > 0 from r = 6 on, and
-        # below it those cases have no window before the cut (the slack
-        # at the top g is negative at the alpha cap of the least g).
+        # cases 3/4 only from r = 6 on, where both are > 0; below it
+        # those cases have no window at any g, so none over the special
+        # g either (the slack at the top g is negative at the alpha cap
+        # of the least g).
         for r in (4, 5):
             for d in range(1, 3001):
                 g_min = sieve.least_special_genus(d)
@@ -490,14 +501,38 @@ class TestGenusIntervals:
     @given(d=st.integers(1, 2**63 - 1), g=st.integers(0, 2**63 - 1), r=st.sampled_from((4, 5)))
     def test_cases_3_4_have_no_window_at_one_g_below_r_6(self, d, g, r):
         # iter_witnesses reads _spans at one g, where the cut would divide
-        # by coef = 0 at r = 5 (and by -2 at r = 4): cases 3/4 never reach
-        # it there, as their window at g is empty.  The CLI's query
+        # by coef = 0 at r = 5 (and by -2 at r = 4): cases 3/4 have no
+        # span there, and their window at g is empty.  The CLI's query
         # accepts d and g up to 2**63 - 1.
         assert all(span.case.below for span in sieve._spans(d, r, g, g))
         if d >= g:
             for case in (SieveCase.CASE3, SieveCase.CASE4):
                 cap = sieve.alpha_cap(case, d, g)
                 assert cap < r or sieve.case_slack(case, d, g, r, cap) < 0, case
+
+    @pytest.mark.parametrize("r", range(4, 13))
+    def test_spans_over_any_genus_range_are_the_naive_windows(self, r):
+        # Every range 0 <= g_min <= g_max <= d + 3, and g_max = 2d + 2:
+        # each case's span holds exactly the alphas with a g in range at
+        # which the alpha is in the case's window, and interval(alpha)
+        # is the least and largest such g.  The ranges below the special
+        # g hold cases-3/4 windows before the cut at r = 4, 5, as in
+        # _spans(7, 4, 0, 8) and _spans(10, 5, 0, 10).
+        for d in range(1, 45):
+            top = 2 * d + 2
+            windows = naive_span_windows(d, r, top)
+            for g_min in range(d + 4):
+                want = {case: {} for case in SieveCase}
+                for g_max in range(g_min, top + 1):
+                    for case in SieveCase:
+                        for alpha in windows[case][g_max]:
+                            want[case][alpha] = (want[case][alpha][0] if alpha in want[case] else g_max, g_max)
+                    if g_max > d + 3 and g_max != top:
+                        continue
+                    got = {case: {} for case in SieveCase}
+                    for span in sieve._spans(d, r, g_min, g_max):
+                        got[span.case] = {alpha: span.interval(alpha) for alpha in range(span.alpha_lo, span.alpha_hi + 1)}
+                    assert got == want, (d, r, g_min, g_max)
 
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
         # pi and the profile are each read at most once per alpha, and
@@ -868,6 +903,13 @@ class TestR3Classify:
     )
     def test_decision_table(self, d, g, want):
         assert sieve.r3_classify(d, g).render() == want
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_one_more_degree_than_genus_is_empty_up_to_genus_5(self, g):
+        # pi(d, 3) is 0, 1, 2, 4 at d = 3..6, and there is no space curve
+        # of degree 2 and genus 1, so the genus bound alone empties these.
+        assert sieve.r3_classify(g + 1, g).render() == "empty"
+        assert g > (bounds.max_genus_pi(g + 1, 3) if g >= 2 else 0)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
 """Tests for ruled-surface divisor arithmetic and stable splits."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rigidity_sieve import surfaces
-from rigidity_sieve.surfaces import DivisorClass
+from rigidity_sieve.surfaces import DivisorClass, SplitCertificate
+
+MAX = 2**63 - 1
 
 
 def grid(a_max=8, b_max=12, e_max=3, a_min=0):
@@ -11,6 +17,48 @@ def grid(a_max=8, b_max=12, e_max=3, a_min=0):
         for a in range(a_min, a_max + 1):
             for b in range(0, b_max + 1):
                 yield DivisorClass(a, b, e)
+
+
+def is_valid(d):
+    """Whether find_stable_split accepts d: a >= 2, a smooth irreducible
+    representative and genus >= 2."""
+    return d.a >= 2 and surfaces.smooth_irreducible_exists(d) and surfaces.arith_genus(d) >= 2
+
+
+def naive_certificate(d1, d2, total):
+    """The certificate of d1 + d2 = total, if both parts are smooth
+    irreducible classes meeting in >= 3 points, else None."""
+    if d1.a + d2.a != total.a or d1.b + d2.b != total.b:
+        return None
+    if not (surfaces.smooth_irreducible_exists(d1) and surfaces.smooth_irreducible_exists(d2)):
+        return None
+    n = surfaces.intersect(d1, d2)
+    return SplitCertificate(d1, d2, n) if n >= 3 else None
+
+
+def naive_stable_split(d):
+    """The split found by search: the three canonical candidates in
+    order ((D - f) + f, the minimal-section split, section plus comb),
+    then every (a1, b1) in lexicographic order; None if nothing
+    qualifies."""
+    e = d.e
+    candidates = []
+    if d.b >= 1:
+        candidates.append((DivisorClass(d.a, d.b - 1, e), DivisorClass(0, 1, e)))
+    if d.b == d.a * e:
+        candidates.append((DivisorClass(1, e, e), DivisorClass(d.a - 1, (d.a - 1) * e, e)))
+    if d.a == 2:
+        candidates.append((DivisorClass(1, 0, e), DivisorClass(1, d.b, e)))
+    search = (
+        (DivisorClass(a1, b1, e), DivisorClass(d.a - a1, d.b - b1, e))
+        for a1 in range(d.a + 1)
+        for b1 in range(d.b + 1)
+    )
+    for d1, d2 in itertools.chain(candidates, search):
+        cert = naive_certificate(d1, d2, d)
+        if cert is not None:
+            return cert
+    return None
 
 
 class TestDivisorClass:
@@ -103,6 +151,13 @@ class TestSmoothIrreducible:
             assert surfaces.smooth_irreducible_exists(d) == want
 
 
+def assert_certifies(cert, total):
+    assert cert.d1 + cert.d2 == total
+    assert surfaces.smooth_irreducible_exists(cert.d1)
+    assert surfaces.smooth_irreducible_exists(cert.d2)
+    assert cert.intersection == surfaces.intersect(cert.d1, cert.d2) >= 3
+
+
 class TestFindStableSplit:
     def test_canonical_splits(self):
         cases = [
@@ -128,16 +183,33 @@ class TestFindStableSplit:
 
     def test_certificate_properties_small_grid(self):
         for total in grid(a_max=6, b_max=18, e_max=2, a_min=2):
-            if not surfaces.smooth_irreducible_exists(total):
-                continue
-            if surfaces.arith_genus(total) < 2:
-                continue
-            cert = surfaces.find_stable_split(total)
-            assert cert is not None
-            assert cert.d1 + cert.d2 == total
-            assert surfaces.smooth_irreducible_exists(cert.d1)
-            assert surfaces.smooth_irreducible_exists(cert.d2)
-            assert cert.intersection == surfaces.intersect(cert.d1, cert.d2) >= 3
+            if is_valid(total):
+                assert_certifies(surfaces.find_stable_split(total), total)
+
+    def test_equals_the_search_on_every_valid_class(self):
+        checked = 0
+        for total in grid(a_max=30, b_max=200, e_max=6, a_min=2):
+            if is_valid(total):
+                checked += 1
+                assert surfaces.find_stable_split(total) == naive_stable_split(total), total
+        assert checked == 30_996
+
+    @given(e=st.integers(0, MAX // 2), a=st.integers(2, MAX), b=st.integers(1, MAX))
+    @example(e=1, a=MAX, b=MAX)
+    @example(e=0, a=MAX, b=MAX)
+    @example(e=1, a=2, b=MAX)
+    @example(e=MAX // 2, a=2, b=MAX - 1)
+    def test_certificate_properties_up_to_the_input_ceiling(self, e, a, b):
+        # Few random classes are smooth (b >= ae once e >= 1), so each
+        # draw is moved onto that range with a, b <= 2**63 - 1: a is
+        # lowered to at most MAX // e (>= 2, as e <= MAX // 2), and b
+        # raised to at least ae.
+        if e:
+            a = min(a, MAX // e)
+            b = max(b, a * e)
+        total = DivisorClass(a, b, e)
+        if is_valid(total):
+            assert_certifies(surfaces.find_stable_split(total), total)
 
     def test_to_dict(self):
         cert = surfaces.find_stable_split(DivisorClass(4, 9, 2))
