@@ -63,49 +63,47 @@ def euler_normal(c: CurveClass) -> int:
     return (c.r + 1) * c.d - (c.r - 3) * (c.g - 1)
 
 
+def castelnuovo_core(m: int, eps: int, q: int) -> int:
+    """C(m, 2)*q + m*eps, the core of every Castelnuovo bound of a degree
+    d with d - 1 = m*q + eps: pi at q = alpha - 1, and pi1, pi2 through
+    castelnuovo_bound.  This is the one encoding of that term."""
+    return m * (m - 1) // 2 * q + m * eps
+
+
 @lru_cache(maxsize=None)
 def max_genus_pi(d: int, r: int) -> int:
     """Maximal genus of an irreducible nondegenerate degree-d curve in P^r.
 
-    Closed form with m = floor((d-1)/(r-1)) and eps = d-1 - m(r-1):
-    C(m,2)(r-1) + m*eps.
+    With m = floor((d-1)/(r-1)) and eps = d-1 - m(r-1), the core
+    C(m,2)(r-1) + m*eps (castelnuovo_core).
 
-    Cached: grid sweeps evaluate the same (d, r) many times.
+    Cached, without a bound: `verify all` on its default universe leaves
+    8,026 entries, and `query --r 100 --d 985000 --g 985001` 298,182,
+    one per alpha of its window.
     """
     if r < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {r}")
     if d < r:
         raise ValueError(f"need d >= r, got d={d}, r={r}")
     m, eps = divmod(d - 1, r - 1)
-    return m * (m - 1) // 2 * (r - 1) + m * eps
+    return castelnuovo_core(m, eps, r - 1)
 
 
-def castelnuovo_envelope(d: int, alpha: int) -> tuple[int, int, int, int]:
-    """(upper, upper_den, lower, lower_den), polynomials in d and alpha:
+def castelnuovo_envelope(d: int, alpha: int) -> tuple[int, int]:
+    """(lower, lower_den) = ((d - 1)(d - alpha - 2), 2(alpha + 1)), with
+    lower_den * c >= lower for c each of pi(d, alpha), pi1 and pi2 at
+    (d, alpha), so for every genus cap, wherever castelnuovo_profile is
+    defined.
 
-        upper_den * pi(d, alpha) <= upper = (2d - 1 - alpha)^2,
-        upper_den = 8(alpha - 1);
-        lower_den * c >= lower = (d - 1)(d - alpha - 2),
-        lower_den = 2(alpha + 1),
-
-    for c each of pi(d, alpha), pi1 and pi2 at (d, alpha), so for every
-    genus cap.  They hold wherever max_genus_pi resp. castelnuovo_profile
-    is defined.
-
-    With n = d - 1 = m*q + eps, the core term C(m, 2)*q + m*eps of each
-    bound equals (n - eps)(n - q + eps) / (2q), as m = (n - eps)/q.  On
-    0 <= eps <= q that is a concave parabola in eps with its top at
-    eps = q/2 and equal values at the ends, so
-
-        n(n - q) / (2q)  <=  core  <=  (2n - q)^2 / (8q).
-
-    pi is the core at q = alpha - 1, which gives the upper bound.  pi1 is
-    the core at q = alpha plus m1 + mu1 >= 0, and pi2 the core at
-    q = alpha + 1 plus 2*m2 + mu2 >= 0.  The lower end n^2/(2q) - n/2
-    falls as q grows, so each of pi, pi1, pi2 is at least its value at
-    q = alpha + 1, which is the lower bound.
+    With n = d - 1 = m*q + eps, castelnuovo_core(m, eps, q) equals
+    (n - eps)(n - q + eps) / (2q), as m = (n - eps)/q: a concave parabola
+    in eps, equal at eps = 0 and q, so at least n^2/(2q) - n/2 on
+    0 <= eps <= q, which falls as q grows.  pi is the core at
+    q = alpha - 1, pi1 the core at q = alpha plus m1 + mu1 >= 0, and pi2
+    the core at q = alpha + 1 plus 2*m2 + mu2 >= 0; so each is at least
+    the bound at q = alpha + 1.
     """
-    return (2 * d - 1 - alpha) ** 2, 8 * (alpha - 1), (d - 1) * (d - alpha - 2), 2 * (alpha + 1)
+    return (d - 1) * (d - alpha - 2), 2 * (alpha + 1)
 
 
 def mu(eps: int, alpha: int, first: bool) -> int:
@@ -121,11 +119,11 @@ def mu(eps: int, alpha: int, first: bool) -> int:
 def castelnuovo_bound(m: int, eps: int, mu: int, alpha: int, first: bool) -> int:
     """The genus bound pi1 (first: divisor q = alpha) or pi2 (divisor
     q = alpha + 1) of a degree d with d - 1 = m*q + eps and correction
-    mu: C(m, 2)*q + m*(eps + 1) + mu, plus m in the second convention.
-    This is the one encoding of the pi1/pi2 formula."""
+    mu: castelnuovo_core(m, eps + 1, q) + mu, plus m in the second
+    convention.  This is the one encoding of the pi1/pi2 formula."""
     if first:
-        return m * (m - 1) // 2 * alpha + m * (eps + 1) + mu
-    return m * (m - 1) // 2 * (alpha + 1) + m * (eps + 2) + mu
+        return castelnuovo_core(m, eps + 1, alpha) + mu
+    return castelnuovo_core(m, eps + 2, alpha + 1) + mu
 
 
 @lru_cache(maxsize=None)

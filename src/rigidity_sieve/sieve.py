@@ -373,18 +373,20 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
     return spans
 
 
-def _span_intervals(pieces: list) -> Iterator[tuple]:
-    """(alpha, case, g_lo, g_hi) at every alpha of every piece
-    (span, lo, hi), whose alphas are lo..hi, in (alpha, case) order.
-    The pieces come in case order, and those of one case have disjoint
-    alpha ranges.  The alpha line is cut where a piece starts or ends,
-    so each alpha visits only the spans that hold it."""
+def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi, cap) at every alpha of every piece
+    (span, lo, hi), whose alphas are lo..hi, in (alpha, case) order, with
+    cap = genus_cap(d, alpha), read once per alpha.  The pieces come in
+    case order, and those of one case have disjoint alpha ranges.  The
+    alpha line is cut where a piece starts or ends, so each alpha visits
+    only the spans that hold it."""
     edges = sorted({lo for _, lo, _ in pieces} | {hi + 1 for _, _, hi in pieces})
     for start, stop in zip(edges, edges[1:]):
         active = [span for span, lo, hi in pieces if lo <= start and stop <= hi + 1]
-        for alpha in range(start, stop):
+        for alpha in range(start, stop) if active else ():
+            cap = genus_cap(d, alpha)
             for span in active:
-                yield (alpha, span.case, *span.interval(alpha))
+                yield (alpha, span.case, *span.interval(alpha), cap)
 
 
 def _negative_run(values: tuple, lo: int, hi: int) -> tuple[int, int]:
@@ -428,28 +430,38 @@ def _negative_run(values: tuple, lo: int, hi: int) -> tuple[int, int]:
     return max(first, lo), min(last, hi)
 
 
-def _unsettled(span: _Span, envelope: list) -> list:
-    """The pieces (span, lo, hi) of the span's alphas at which the
-    envelope does not show pi(d, alpha) < g_lo, at most two; envelope
-    holds bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, and
-    upper_den * pi <= upper.
-
-    g_lo is at least the slack's real g floor -(at_zero +
-    per_alpha*alpha) / per_g.  Put in for g_lo, it gives a convex
-    quadratic in alpha that is negative exactly where it shows
-    pi < g_lo, so it settles one run of alphas (_negative_run).  g_lo's
-    other floor, g_min, would settle no windowed alpha over r = 4..12
-    and 40 at d <= 700, so it is not tried."""
-    per_g, at_zero, per_alpha = span.per_g, span.at_zero, span.per_alpha
-    values = [
-        per_g * upper + upper_den * (at_zero + per_alpha * alpha)
-        for alpha, (upper, upper_den, _, _) in enumerate(envelope)
-    ]
-    lo, hi = span.alpha_lo, span.alpha_hi
-    first, last = _negative_run(values, lo, hi)
-    if first > last:
-        return [(span, lo, hi)]
-    return [(span, a, b) for a, b in ((lo, first - 1), (last + 1, hi)) if a <= b]
+# The exact pi cut.  With n = d - 1, q = alpha - 1 and m = n // q,
+# pi(d, alpha) = castelnuovo_core(m, n - m*q, q) = m*n - C(m+1, 2)*q.  On a
+# block of alphas with one m it is linear in alpha and falls by
+# C(m+1, 2) per step.  pi is an integer, so g_lo <= pi exactly when
+# g_min <= pi and the slack's real g floor -(at_zero +
+# per_alpha*alpha)/per_g is at most pi, that is when at_zero +
+# per_g*pi + per_alpha*alpha >= 0, a line that falls by
+# per_g*C(m+1, 2) - per_alpha per step.  Both lines fall on every block
+# a span holds, so each keeps a prefix of the block:
+# - cases 1/2: 3*alpha <= d + 1 gives n >= 3q + 1, so m >= 3, and
+#   per_g*C(m+1, 2) >= 6(r - 3) > r + 1 >= per_alpha at r >= 4;
+# - cases 3/4 (spans only at r >= 6): the span's cut, the slack's g
+#   floor at most 2d - 3*alpha (+ 1 in case 3), gives (2r - 10)*alpha
+#   <= (r - 7)d + r, so 2*alpha <= d + 1 once d >= 3, n >= 2q and
+#   m >= 2; and 3(r - 3) > r + 1, 3(r - 4) > r - 2 at r >= 6.
+def _under_pi(d: int, span: _Span) -> list:
+    """The pieces (span, lo, hi) of the span's alphas at which g_lo <=
+    pi(d, alpha), one prefix per quotient block, in alpha order.  pi is
+    read off bounds.castelnuovo_core at the block's first alpha and the
+    next, with no cached call."""
+    n, pieces, alpha = d - 1, [], span.alpha_lo
+    while alpha <= span.alpha_hi:
+        m = n // (alpha - 1)
+        end = min(span.alpha_hi, n // m + 1)
+        pi = bounds.castelnuovo_core(m, n - m * (alpha - 1), alpha - 1)
+        step = pi - bounds.castelnuovo_core(m, n - m * alpha, alpha)
+        slack = span.at_zero + span.per_g * pi + span.per_alpha * alpha
+        last = min(end, alpha + slack // (span.per_g * step - span.per_alpha), alpha + (pi - span.g_min) // step)
+        if last >= alpha:
+            pieces.append((span, alpha, last))
+        alpha = end + 1
+    return pieces
 
 
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
@@ -464,25 +476,12 @@ def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     linear in g with coefficient r - 3 or r - 4, and the alpha caps of
     cases 3/4 bound g above.
 
-    An (alpha, case) at which the closed-form envelope already puts
-    pi(d, alpha) below g_lo is skipped unread (_unsettled); the others
-    go through the exact path.  As in genus_caps_ok, pi(d, alpha) is read
-    once per alpha with such an interval, and the profile only once
-    some interval of that alpha reaches down to pi."""
+    The genus cap is at most pi(d, alpha), so the (alpha, case) with
+    g_lo > pi are cut out exactly by quotient blocks (_under_pi); pi and
+    the profile are read once per alpha that is left."""
     _check_domain(d, r)
-    spans = _spans(d, r, least_special_genus(d), g_top)
-    if not spans:
-        return
-    envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
-    pieces = [piece for span in spans for piece in _unsettled(span, envelope)]
-    cap_alpha = pi = cap = None
-    for alpha, case, g_lo, g_hi in _span_intervals(pieces):
-        if alpha != cap_alpha:
-            cap_alpha, pi, cap = alpha, bounds.max_genus_pi(d, alpha), None
-        if g_lo > pi:
-            continue
-        if cap is None:
-            cap = _profile_cap(d, alpha, pi)
+    pieces = [piece for span in _spans(d, r, least_special_genus(d), g_top) for piece in _under_pi(d, span)]
+    for alpha, case, g_lo, g_hi, cap in _span_intervals(d, pieces):
         if g_lo <= cap:
             yield alpha, case, g_lo, min(g_hi, cap)
 

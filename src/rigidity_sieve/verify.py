@@ -451,8 +451,8 @@ def _certified_run(span: sieve._Span, envelope: list, top: int) -> int:
     """The last alpha of the run at the start of a case-1/2 span whose
     capped intervals have the union [g_lo at that alpha, g_max], or
     alpha_lo - 1 if there is none; the run ends by top.  envelope holds
-    bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, whose lower
-    bound holds for every genus cap: lower_den * cap >= lower.
+    bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, which
+    holds for every genus cap: lower_den * cap >= lower.
 
     The span's interval at alpha is [L(alpha), g_max] cut by the cap,
     and L falls with alpha.  The run starts at alpha_lo if the envelope
@@ -466,10 +466,10 @@ def _certified_run(span: sieve._Span, envelope: list, top: int) -> int:
     a convex quadratic in alpha that may hold again past its upper root,
     so the run ends at its first failure (sieve._negative_run).
     """
-    prefix = [lower - lower_den * span.g_max for _, _, lower, lower_den in envelope]
+    prefix = [lower - lower_den * span.g_max for lower, lower_den in envelope]
     chain = [
         span.per_g * lower - lower_den * (span.per_g - 1 - span.at_zero - span.per_alpha * (alpha - 1))
-        for alpha, (_, _, lower, lower_den) in enumerate(envelope)
+        for alpha, (lower, lower_den) in enumerate(envelope)
     ]
     hi = min(span.alpha_hi, top)
     last = span.alpha_lo - 1
@@ -518,10 +518,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
                     fired[span.case.index].append((span.interval(last)[0], span.g_max))
                     lo = last + 1
             pieces.append((span, lo, span.alpha_hi))
-        cap_alpha = cap = None
-        for alpha, case, g_lo, g_hi in sieve._span_intervals(pieces):
-            if alpha != cap_alpha:
-                cap_alpha, cap = alpha, sieve.genus_cap(d, alpha)
+        for alpha, case, g_lo, g_hi, cap in sieve._span_intervals(d, pieces):
             if g_lo <= cap:
                 fired[case.index].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
@@ -726,7 +723,9 @@ def verify_splits(
     report = VerificationReport(
         "splits", {"a_max": a_max, "b_max": b_max, "e_max": e_max}
     )
-    for e in range(0, e_max + 1):
+    # For e >= 1 a smooth class with a >= 2 needs b >= a*e >= 2e, so no
+    # class lies past e = b_max // 2.
+    for e in range(0, min(e_max, b_max // 2) + 1):
         for a in range(2, a_max + 1):
             for b in range(0, b_max + 1):
                 total = DivisorClass(a, b, e)

@@ -80,16 +80,12 @@ class TestMaxGenusPi:
 
 
 def assert_envelope_holds(d, alpha):
-    """Both envelope inequalities at (d, alpha), in the profile's domain:
-    pi below the upper bound, and pi, pi1, pi2 and so genus_cap above
-    the lower one."""
-    upper, upper_den, lower, lower_den = bounds.castelnuovo_envelope(d, alpha)
-    assert (upper, upper_den) == ((2 * d - 1 - alpha) ** 2, 8 * (alpha - 1))
+    """The envelope inequality at (d, alpha), in the profile's domain:
+    pi, pi1, pi2 and so genus_cap above the lower bound."""
+    lower, lower_den = bounds.castelnuovo_envelope(d, alpha)
     assert (lower, lower_den) == ((d - 1) * (d - alpha - 2), 2 * (alpha + 1))
-    pi = bounds.max_genus_pi(d, alpha)
     prof = bounds.castelnuovo_profile(d, alpha)
-    assert upper_den * pi <= upper, (d, alpha)
-    for cap in (pi, prof.pi1, prof.pi2, sieve.genus_cap(d, alpha)):
+    for cap in (bounds.max_genus_pi(d, alpha), prof.pi1, prof.pi2, sieve.genus_cap(d, alpha)):
         assert lower_den * cap >= lower, (d, alpha, cap)
 
 
@@ -103,14 +99,22 @@ class TestCastelnuovoEnvelope:
     def test_holds_at_large_degrees(self, data, d):
         assert_envelope_holds(d, data.draw(st.integers(3, d - 2), label="alpha"))
 
-    def test_upper_bound_is_met_where_eps_is_half_the_divisor(self):
-        # The core's top, eps = q/2, is reached at an even q = alpha - 1.
-        for alpha in (3, 5, 9, 21):
-            q = alpha - 1
-            for m in range(1, 6):
-                d = m * q + q // 2 + 1
-                upper, upper_den, _, _ = bounds.castelnuovo_envelope(d, alpha)
-                assert upper_den * bounds.max_genus_pi(d, alpha) == upper, (d, alpha)
+
+class TestCastelnuovoCore:
+    def test_definition(self):
+        for q in range(0, 12):
+            for m in range(0, 12):
+                for eps in range(-3, q + 3):
+                    assert bounds.castelnuovo_core(m, eps, q) == m * (m - 1) // 2 * q + m * eps
+
+    def test_pi_pi1_pi2_are_the_core_plus_their_corrections(self):
+        for alpha in range(3, 20):
+            for d in range(alpha + 2, 120):
+                p = bounds.castelnuovo_profile(d, alpha)
+                m, eps = divmod(d - 1, alpha - 1)
+                assert bounds.max_genus_pi(d, alpha) == bounds.castelnuovo_core(m, eps, alpha - 1)
+                assert p.pi1 == bounds.castelnuovo_core(p.m1, p.eps1, alpha) + p.m1 + p.mu1
+                assert p.pi2 == bounds.castelnuovo_core(p.m2, p.eps2, alpha + 1) + 2 * p.m2 + p.mu2
 
 
 class TestCastelnuovoProfile:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rigidity_sieve import bounds, cli, sieve, verify
+from rigidity_sieve import bounds, cli, sieve, surfaces, verify
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -512,6 +512,33 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == "" and "no class of genus >= 2" in err
+
+    def test_splits_past_every_class_of_the_grid_ends_at_once(self):
+        # For e >= 1 a class with a >= 2 is smooth only with b >= ae >= 2e,
+        # so the grid b <= 3 holds no class past e = 1.
+        argv = [sys.executable, "-m", "rigidity_sieve.cli", "verify", "splits", "--a-max", "2", "--b-max", "3", "--e-max"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        huge = subprocess.run([*argv, str(2**63 - 1)], env=env, capture_output=True, timeout=10)
+        small = subprocess.run([*argv, "1"], env=env, capture_output=True, timeout=10)
+        assert (huge.returncode, huge.stderr) == (0, b"")
+        assert huge.stdout == small.stdout
+
+    def test_splits_reports_a_failed_construction_as_a_violation(self, capsys, monkeypatch):
+        # The suite guards the construction it tests: a split that raises
+        # on one class of the grid is one error violation, not a traceback.
+        real = surfaces.find_stable_split
+
+        def failing(divisor):
+            if divisor.as_tuple() == (3, 5, 1):
+                raise ValueError("injected failure")
+            return real(divisor)
+
+        monkeypatch.setattr(surfaces, "find_stable_split", failing)
+        code, out, err = run(capsys, "verify", "splits", "--format", "json")
+        assert (code, err) == (1, "")
+        (report,) = json.loads(out)["reports"]
+        assert report["violations"] == [{"a": 3, "b": 5, "e": 1, "error": "injected failure"}]
+        assert report["checked"] == verify.verify_splits().checked
 
     def test_empty_r5_window_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "r5window", "--d-lo", "113", "--d-hi", "101")

@@ -5,7 +5,7 @@ import collections
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidity_sieve import bounds, sieve, verify
@@ -388,7 +388,7 @@ def uncapped_intervals(d, r, top):
     """The window intervals (alpha, case, g_lo, g_hi) of the _spans
     over the special g <= top, before the genus caps."""
     spans = sieve._spans(d, r, sieve.least_special_genus(d), top)
-    return list(sieve._span_intervals([(span, span.alpha_lo, span.alpha_hi) for span in spans]))
+    return [entry[:4] for entry in sieve._span_intervals(d, [(span, span.alpha_lo, span.alpha_hi) for span in spans])]
 
 
 def naive_window_intervals(d, r, top):
@@ -535,11 +535,10 @@ class TestGenusIntervals:
                     assert got == want, (d, r, g_min, g_max)
 
     def test_genus_caps_once_per_alpha_with_a_window_interval(self, monkeypatch):
-        # pi and the profile are each read at most once per alpha, and
-        # only at an alpha with a window interval.  pi is read at every
-        # such alpha unless the envelope (upper_den * pi <= upper) puts
-        # pi below the g_lo of each of its intervals, and some alphas are
-        # settled so.
+        # pi and the profile are each read exactly once per alpha that the
+        # pi cut keeps, an alpha with a window interval whose g_lo is at
+        # most pi, and at no other alpha; and many windowed alphas are
+        # cut so.
         profile_calls, pi_calls = [], []
         real_profile, real_pi = bounds.castelnuovo_profile, bounds.max_genus_pi
 
@@ -553,32 +552,25 @@ class TestGenusIntervals:
 
         monkeypatch.setattr(bounds, "castelnuovo_profile", counting_profile)
         monkeypatch.setattr(bounds, "max_genus_pi", counting_pi)
-        settled = 0
+        cut = 0
         for r in (4, 9, 12):
             for d in range(1, 150):
                 for top in (d // 2, d, 2 * d + 5):
                     lows = collections.defaultdict(list)
                     for alpha, _, g_lo, _ in uncapped_intervals(d, r, top):
                         lows[alpha].append(g_lo)
-                    windowed = {(d, alpha) for alpha in lows}
-                    unsettled = {
-                        (d, alpha)
-                        for alpha, g_los in lows.items()
-                        if any(8 * (alpha - 1) * g_lo <= (2 * d - 1 - alpha) ** 2 for g_lo in g_los)
-                    }
+                    kept = [(d, alpha) for alpha, g_los in lows.items() if min(g_los) <= naive_pi(d, alpha)]
                     profile_calls.clear()
                     pi_calls.clear()
                     list(sieve.genus_intervals(d, r, top))
-                    assert len(profile_calls) == len(set(profile_calls)), (d, r, top)
-                    assert len(pi_calls) == len(set(pi_calls)), (d, r, top)
-                    assert unsettled <= set(pi_calls) <= windowed, (d, r, top)
-                    assert set(profile_calls) <= set(pi_calls), (d, r, top)
-                    settled += len(windowed) - len(pi_calls)
-        assert settled > 100
+                    assert pi_calls == kept, (d, r, top)
+                    assert profile_calls == kept, (d, r, top)
+                    cut += len(lows) - len(kept)
+        assert cut > 100
 
     def test_genus_intervals_are_the_capped_window_intervals(self):
         # genus_intervals against its definition, each window interval
-        # cut by genus_cap, where the envelope settles most alphas.
+        # cut by genus_cap, where the pi cut drops most alphas.
         for r in (*range(4, 13), 40):
             for d in range(1, 701):
                 caps = {}
@@ -599,11 +591,112 @@ class TestGenusIntervals:
                 assert flags == [True] * (cap + 1) + [False] * 2, (d, alpha)
                 assert [sieve.genus_caps_ok(d, g, alpha) for g in range(cap + 3)] == flags, (d, alpha)
 
+    def test_pi_cut_walks_3123_alpha_case_on_the_thm41_universe(self, monkeypatch):
+        # The (alpha, case) that genus_intervals walks past the pi cut on
+        # the thm41 universe of `verify all` (r = 4..10, d <= 500, g up to
+        # range_g_limit), of 117,587 in the windows.  A looser cut walks
+        # more.
+        universe = [(d, r, sieve.range_g_limit(d, r)) for r in range(4, 11) for d in range(1, 501)]
+        windowed = sum(len(uncapped_intervals(*point)) for point in universe)
+        walked = 0
+        real = sieve._span_intervals
+
+        def counting(d, pieces):
+            nonlocal walked
+            for entry in real(d, pieces):
+                walked += 1
+                yield entry
+
+        monkeypatch.setattr(sieve, "_span_intervals", counting)
+        for point in universe:
+            list(sieve.genus_intervals(*point))
+        assert (walked, windowed) == (3123, 117587)
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             list(sieve.genus_intervals(10, 3, 20))
         with pytest.raises(ValueError):
             list(sieve.genus_intervals(0, 5, 20))
+
+
+def naive_pi(d, alpha):
+    """pi(d, alpha) spelled out: C(m, 2)*q + m*eps with q = alpha - 1 and
+    d - 1 = m*q + eps."""
+    m, eps = divmod(d - 1, alpha - 1)
+    return m * (m - 1) // 2 * (alpha - 1) + m * eps
+
+
+def assert_pi_cut_is_exact(d, span):
+    """_under_pi keeps exactly the span's alphas with g_lo <= pi(d, alpha),
+    and both of its lines fall on each quotient block the span holds."""
+    kept = [alpha for _, lo, hi in sieve._under_pi(d, span) for alpha in range(lo, hi + 1)]
+    want = []
+    for alpha in range(span.alpha_lo, span.alpha_hi + 1):
+        m = (d - 1) // (alpha - 1)
+        assert span.per_g * (m * (m + 1) // 2) > span.per_alpha > 0, (d, span, alpha)
+        if span.interval(alpha)[0] <= naive_pi(d, alpha):
+            want.append(alpha)
+    assert kept == want, (d, span)
+
+
+class TestPiCut:
+    @pytest.mark.parametrize("r", [*range(4, 13), 20, 40])
+    def test_exact_on_every_genus_range(self, r):
+        # Every range 0 <= g_min <= g_max <= 2d + 2, so also those where
+        # g_min binds and those below the special g.
+        for d in range(1, 41):
+            for g_min in range(2 * d + 3):
+                for g_max in range(g_min, 2 * d + 3):
+                    for span in sieve._spans(d, r, g_min, g_max):
+                        assert_pi_cut_is_exact(d, span)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), d=st.integers(1, 3000), r=st.integers(4, 40))
+    def test_exact_on_random_genus_ranges(self, data, d, r):
+        special = sieve.least_special_genus(d)
+        g_min = data.draw(st.sampled_from((0, special, d, d + 1)) | st.integers(0, 3 * d), label="g_min")
+        g_max = data.draw(
+            st.sampled_from((g_min, d, 2 * d, sieve.range_g_limit(d, r))).filter(lambda g: g >= g_min)
+            | st.integers(g_min, 3 * d + 3),
+            label="g_max",
+        )
+        for span in sieve._spans(d, r, g_min, g_max):
+            assert_pi_cut_is_exact(d, span)
+
+    @given(
+        d=st.integers(2**62, 2**63 - 1),
+        r=st.integers(4, 40),
+        case=st.sampled_from(SieveCase),
+        m=st.integers(2, 10**6),
+        offset=st.integers(-40, 40),
+        width=st.integers(0, 80),
+        at=st.integers(0, 80),
+        delta=st.integers(-3, 3),
+        g_min_binds=st.booleans(),
+    )
+    def test_exact_on_narrow_windows_near_the_input_ceiling(self, d, r, case, m, offset, width, at, delta, g_min_binds):
+        # A window of at most 81 alphas about the end of the block of m,
+        # with the slack's g floor or g_min set to cross pi at an alpha of
+        # it (delta = 0: on an integer).  The window stays below the
+        # alpha bound of a real span, (d + 1)/3 in cases 1/2 and
+        # (d + 1)/2 in cases 3/4, which exist from r = 6 on.
+        assume(case.below or r >= 6)
+        assume(m >= 3 or not case.below)
+        n = d - 1
+        lo = max(r, n // m + 1 + offset)
+        hi = min(lo + width, (d + 1) // (3 if case.below else 2))
+        assume(lo <= hi)
+        at_zero = sieve.case_slack(case, d, 0, r, 0)
+        per_g = sieve.case_slack(case, d, 1, r, 0) - at_zero
+        per_alpha = sieve.case_slack(case, d, 0, r, 1) - at_zero
+        pivot = min(lo + at, hi)
+        pi = naive_pi(d, pivot)
+        if g_min_binds:
+            g_min, at_zero = pi + delta, -per_alpha * lo
+        else:
+            g_min, at_zero = 0, delta - per_g * pi - per_alpha * pivot
+        span = sieve._Span(case, g_min, 2**64, lo, hi, at_zero, per_g, per_alpha, None)
+        assert_pi_cut_is_exact(d, span)
 
 
 def brute_negative_run(values, lo, hi):

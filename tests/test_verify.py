@@ -1039,6 +1039,45 @@ class TestMutationDetection:
             shift = 1 if which.first else 2
             assert sieve.derived_slack(which, 9, 9, 2, 2, 0) == clean[which] + 2 * 6 * shift
 
+    def test_castelnuovo_core_shifted_reaches_every_reader(self, monkeypatch):
+        # pi, pi1 and pi2 (through castelnuovo_bound), derived_slack and the
+        # pi cut of genus_intervals all read bounds.castelnuovo_core.  The
+        # shifted intervals are the window intervals cut by the shifted
+        # genus_cap, so the cut reads the shifted pi too.
+        universe = [(d, r) for r in (4, 9, 12) for d in range(1, 120)]
+
+        def readings():
+            for fn in (bounds.castelnuovo_profile, bounds.max_genus_pi):
+                fn.cache_clear()
+            capped = []
+            for d, r in universe:
+                for alpha, case, g_lo, g_hi in uncapped_intervals(d, r, 2 * d):
+                    cap = sieve.genus_cap(d, alpha)
+                    if g_lo <= cap:
+                        capped.append((alpha, case, g_lo, min(g_hi, cap)))
+            return (
+                bounds.max_genus_pi(30, 9),
+                bounds.castelnuovo_profile(30, 9),
+                [sieve.derived_slack(which, 9, 9, 2, 2, 0) for which in Ineq],
+                [entry for d, r in universe for entry in sieve.genus_intervals(d, r, 2 * d)],
+                capped,
+            )
+
+        clean = readings()
+        assert clean[3] == clean[4]
+        real = bounds.castelnuovo_core
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "castelnuovo_core", lambda m, eps, q: real(m, eps, q) + 1)
+            pi, profile, slacks, intervals, capped = readings()
+        assert pi == clean[0] + 1
+        assert profile == clean[1]._replace(pi1=clean[1].pi1 + 1, pi2=clean[1].pi2 + 1)
+        # g rises by 1, and twice the case slack by 2(r - 3).
+        assert slacks == [value + 12 for value in clean[2]]
+        assert intervals != clean[3] and intervals == capped
+        assert readings() == clean
+        for module in (sieve, verify, cli, surfaces):
+            assert all(value is not real for value in vars(module).values()), module.__name__
+
     def test_pi1_off_by_one_reaches_sweep_rows(self, monkeypatch):
         clean = cli.run_sweep(7, 140)
         with monkeypatch.context() as m:
