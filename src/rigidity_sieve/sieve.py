@@ -464,6 +464,49 @@ def _under_pi(d: int, span: _Span) -> list:
     return pieces
 
 
+# The certified runs of r11.  A span's interval at alpha is [L(alpha),
+# g_max] cut by the genus cap, with L falling as alpha rises, while the
+# alpha cap does not cut it: in cases 1/2 always, in cases 3/4 while
+# 3*alpha <= cap_top - g_max, which top must keep.  r11 passes
+# top = (d - 1) // 3, below its step-(a) boundary 3*alpha >= d, where
+# cap_top - 3*alpha >= 2d - 3*alpha > d >= g_max in cases 3/4, so every
+# case is certified alike, and step (a), needing g >= 2d - 3*alpha, has
+# no g.  Every genus cap meets the envelope, lower_den * cap >= lower.
+# A run starts at alpha_lo if the envelope puts the cap there at g_max
+# or above, a linear test that holds on a prefix.  A later alpha keeps
+# the union an interval from L(alpha) up if the envelope puts its cap at
+# L(alpha - 1) or above, and if L(alpha - 1) is g_min every later
+# interval lies in the union.  Past the prefix that test is read against
+# L(alpha - 1) <= (per_g - 1 - at_zero - per_alpha*(alpha - 1)) / per_g,
+# the slack's ceiling bound: a convex quadratic in alpha that may hold
+# again past its upper root, so the run ends at its first failure.
+def _certified_pieces(d: int, r: int, g_min: int, g_max: int, top: int) -> tuple[list, list]:
+    """(runs, pieces) over the _spans of (d, r) on g_min..g_max: runs
+    holds (case, g_lo, g_max) per span whose first alphas, up to top,
+    have capped intervals with that union (g_lo at the run's last
+    alpha); pieces holds (span, lo, alpha_hi) per span, in span order,
+    with the alphas past the run for _span_intervals to walk."""
+    envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
+    runs, pieces = [], []
+    for span in _spans(d, r, g_min, g_max):
+        hi = min(span.alpha_hi, top)
+        prefix = [lower - lower_den * span.g_max for lower, lower_den in envelope]
+        chain = [
+            span.per_g * lower - lower_den * (span.per_g - 1 - span.at_zero - span.per_alpha * (alpha - 1))
+            for alpha, (lower, lower_den) in enumerate(envelope)
+        ]
+        last = span.alpha_lo - 1
+        for values in (prefix, chain):
+            first, stop = _negative_run(values, last + 1, hi)
+            last = first - 1 if first <= stop else max(last, hi)
+            if last < span.alpha_lo:
+                break
+        else:
+            runs.append((span.case, span.interval(last)[0], span.g_max))
+        pieces.append((span, last + 1, span.alpha_hi))
+    return runs, pieces
+
+
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     """(alpha, case, g_lo, g_hi) in (alpha, case) order, for each
     (alpha, case) that is a witness of scan(d, g, r) for some g <= g_top:

@@ -247,13 +247,13 @@ def _linear_form(which: Ineq, r: int, alpha: int, m: int) -> tuple:
     derived_slack and derived_satisfied stay the one encoding of the
     inequalities and their strictness.
     """
-    at_zero = sieve.derived_slack(which, r, alpha, m, 0, 0)
-    per_eps = sieve.derived_slack(which, r, alpha, m, 1, 0) - at_zero
+    at_origin = sieve.derived_slack(which, r, alpha, m, 0, 0)
+    per_eps = sieve.derived_slack(which, r, alpha, m, 1, 0) - at_origin
     eps = alpha - 1
     mu = bounds.mu(eps, alpha, which.first)
-    per_mu = (sieve.derived_slack(which, r, alpha, m, eps, mu) - at_zero - per_eps * eps) // mu
+    per_mu = (sieve.derived_slack(which, r, alpha, m, eps, mu) - at_origin - per_eps * eps) // mu
     floor = 0 if sieve.derived_satisfied(which, 0) else 1
-    return at_zero - floor, per_eps, per_mu
+    return at_origin - floor, per_eps, per_mu
 
 
 def check_derived_args(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) -> None:
@@ -356,8 +356,8 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                 # (30, 33) is -5, so scan excludes that point.  Kept, as
                 # the recorded verify-all output carries it; whether the
                 # paper means the floor is open (ROADMAP item 5).
-                at_zero = sieve.case_slack(SieveCase.CASE2, d, 0, r, alpha)
-                g_lo = -at_zero // (sieve.case_slack(SieveCase.CASE2, d, 1, r, alpha) - at_zero)
+                slack_g0 = sieve.case_slack(SieveCase.CASE2, d, 0, r, alpha)
+                g_lo = -slack_g0 // (sieve.case_slack(SieveCase.CASE2, d, 1, r, alpha) - slack_g0)
                 for g in range(max(g_lo, d + 1), prof.pi2 + 1):
                     hits.add((d, g))
         expected = {(30, 33), (30, 34)}
@@ -447,40 +447,6 @@ def r11_least_genus(case: SieveCase, d: int, r: int) -> int:
     return -(-(num + r - (8 if case.index % 2 else 14)) // den)
 
 
-def _certified_run(span: sieve._Span, envelope: list, top: int) -> int:
-    """The last alpha of the run at the start of a case-1/2 span whose
-    capped intervals have the union [g_lo at that alpha, g_max], or
-    alpha_lo - 1 if there is none; the run ends by top.  envelope holds
-    bounds.castelnuovo_envelope(d, alpha) at alpha = 0, 1, 2, which
-    holds for every genus cap: lower_den * cap >= lower.
-
-    The span's interval at alpha is [L(alpha), g_max] cut by the cap,
-    and L falls with alpha.  The run starts at alpha_lo if the envelope
-    puts the cap there at g_max or above.  A later alpha keeps the union
-    an interval from L(alpha) up if the envelope puts its cap at
-    L(alpha - 1) or above: then its interval meets the union so far; and
-    if L(alpha - 1) is g_min, every later interval lies in the union.
-    The first test is linear in alpha and holds on a prefix; past it, the
-    second is read against L(alpha - 1) <= U = (per_g - 1 -
-    at_zero - per_alpha*(alpha - 1)) / per_g, the slack's ceiling bound,
-    a convex quadratic in alpha that may hold again past its upper root,
-    so the run ends at its first failure (sieve._negative_run).
-    """
-    prefix = [lower - lower_den * span.g_max for lower, lower_den in envelope]
-    chain = [
-        span.per_g * lower - lower_den * (span.per_g - 1 - span.at_zero - span.per_alpha * (alpha - 1))
-        for alpha, (lower, lower_den) in enumerate(envelope)
-    ]
-    hi = min(span.alpha_hi, top)
-    last = span.alpha_lo - 1
-    for values in (prefix, chain):
-        first, stop = sieve._negative_run(values, last + 1, hi)
-        last = first - 1 if first <= stop else hi
-        if last < span.alpha_lo:
-            break
-    return last
-
-
 def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     """Check the three steps of the high-r exclusion over d <= d_max,
     g in [2, 2d]:
@@ -506,18 +472,9 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []
-        fired = {case.index: [] for case in SieveCase}
-        envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
-        pieces = []
-        for span in sieve._spans(d, r, sieve.least_special_genus(d), 2 * d):
-            lo = span.alpha_lo
-            if span.case.below:
-                # Below (a)'s boundary, 3*alpha < below_top.
-                last = _certified_run(span, envelope, (below_top - 1) // 3)
-                if last >= lo:
-                    fired[span.case.index].append((span.interval(last)[0], span.g_max))
-                    lo = last + 1
-            pieces.append((span, lo, span.alpha_hi))
+        # The certified runs end below (a)'s boundary, where (a) has no g.
+        runs, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, (below_top - 1) // 3)
+        fired = {case.index: [(g_lo, g_hi) for c, g_lo, g_hi in runs if c is case] for case in SieveCase}
         for alpha, case, g_lo, g_hi, cap in sieve._span_intervals(d, pieces):
             if g_lo <= cap:
                 fired[case.index].append((g_lo, min(g_hi, cap)))

@@ -758,6 +758,51 @@ class TestNegativeRun:
         assert_negative_run(self.values(lambda x: a * x * x + b * x + c), lo, lo + width)
 
 
+class TestCertifiedPieces:
+    @pytest.mark.parametrize("r", [11, 12, 20])
+    def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
+        # With r11's top (3*alpha < d), in every case: each piece starts
+        # one past its span's run, the capped intervals read over a run
+        # join exactly into the union it lists, and step (a) has no g at
+        # any of its alphas.  The runs hold most alphas below the top, and
+        # at r = 12 and 20 some case-3/4 span holds one (at r = 11 none
+        # does up to d = 800).
+        in_runs = below_top = 0
+        cases = set()
+        for d in range(1, 301):
+            top = (d - 1) // 3
+            g_min = sieve.least_special_genus(d)
+            runs, pieces = sieve._certified_pieces(d, r, g_min, 2 * d, top)
+            assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
+            want_runs = []
+            for span, lo, hi in pieces:
+                last = lo - 1
+                assert span.alpha_lo - 1 <= last <= max(span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
+                assert hi == span.alpha_hi
+                below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
+                if last < span.alpha_lo:
+                    continue
+                in_runs += last - span.alpha_lo + 1
+                cases.add(span.case)
+                want_runs.append((span.case, span.interval(last)[0], span.g_max))
+                capped = []
+                for alpha in range(span.alpha_lo, last + 1):
+                    g_lo, g_hi = span.interval(alpha)
+                    # (a)'s least g, as verify_r_ge_11 reads it.
+                    if span.case.below:
+                        a_lo = g_lo if 3 * alpha >= sieve.cap_numerator(SieveCase.CASE2, d, 0) else g_hi + 1
+                    else:
+                        a_lo = max(g_lo, sieve.cap_numerator(SieveCase.CASE4, d, 0) - 3 * alpha)
+                    assert a_lo > g_hi, (d, r, span, alpha)
+                    cap = sieve.genus_cap(d, alpha)
+                    if g_lo <= cap:
+                        capped.append((g_lo, min(g_hi, cap)))
+                assert verify._merged(capped) == [list(want_runs[-1][1:])], (d, r, span)
+            assert runs == want_runs, (d, r)
+        assert in_runs > below_top // 2
+        assert bool(cases - {SieveCase.CASE1, SieveCase.CASE2}) == (r != 11)
+
+
 class TestDerivedInequalities:
     def test_matches_the_expanded_polynomials(self):
         # Every consistent (eps, mu), m = 1 included, whose degree may lie

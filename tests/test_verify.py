@@ -793,32 +793,22 @@ class TestHighR:
         with pytest.raises(ValueError):
             verify.verify_r_ge_11(10, 50)
 
-    @pytest.mark.parametrize("r", [11, 12, 20])
-    def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
-        # Over each case-1/2 run, the capped intervals read exactly join
-        # into [g_lo at its last alpha, g_max]; and the runs hold most
-        # alphas below (a)'s boundary.
-        in_runs = below_boundary = 0
-        for d in range(1, 301):
-            top = (sieve.cap_numerator(SieveCase.CASE2, d, 0) - 1) // 3
-            envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
-            for span in sieve._spans(d, r, sieve.least_special_genus(d), 2 * d):
-                if not span.case.below:
-                    continue
-                last = verify._certified_run(span, envelope, top)
-                assert span.alpha_lo - 1 <= last <= min(span.alpha_hi, top), (d, r, span)
-                below_boundary += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
-                if last < span.alpha_lo:
-                    continue
-                in_runs += last - span.alpha_lo + 1
-                capped = []
-                for alpha in range(span.alpha_lo, last + 1):
-                    g_lo, g_hi = span.interval(alpha)
-                    cap = sieve.genus_cap(d, alpha)
-                    if g_lo <= cap:
-                        capped.append((g_lo, min(g_hi, cap)))
-                assert verify._merged(capped) == [[span.interval(last)[0], span.g_max]], (d, r, span)
-        assert in_runs > below_boundary // 2
+    def test_walks_8748_alpha_case_on_the_verify_all_universe(self, monkeypatch):
+        # The window intervals that r11 walks past the certified runs on
+        # its universe of `verify all` (r = 11, 12, d <= 400), 5,420 of
+        # them in cases 3/4.  A shorter certificate walks more.
+        walked = Counter()
+        real = sieve._span_intervals
+
+        def counting(d, pieces):
+            for entry in real(d, pieces):
+                walked[entry[1].below] += 1
+                yield entry
+
+        monkeypatch.setattr(sieve, "_span_intervals", counting)
+        for r in (11, 12):
+            verify.verify_r_ge_11(r, 400)
+        assert (walked.total(), walked[False]) == (8748, 5420)
 
     def test_least_genus_is_where_the_degree_bound_starts(self):
         # Step (b) expands only the g below each case's least genus.
@@ -1134,16 +1124,25 @@ class TestAgainstPerPointOracles:
 
     @pytest.mark.parametrize("r", [11, 12, 13, 20])
     @pytest.mark.parametrize(
-        "mutation", [REAL_PROFILE, caps_raised_by_40, pi2_raised_by_1, drop_mu2_case], ids=lambda m: m.__name__
+        "mutation",
+        [
+            REAL_PROFILE, caps_raised_by_40, pi2_raised_by_1, drop_mu2_case,
+            pi1_off_by_one, pi1_lowered_by_1, pi2_lowered_by_1,
+        ],
+        ids=lambda m: m.__name__,
     )
     def test_r11_against_the_interval_walk(self, monkeypatch, r, mutation):
         # naive_r11 stops at d = 80; this reaches d = 400, where the
-        # case-1/2 certified runs are long.  A raised cap keeps the
-        # envelope's lower bound, so the runs stand under each mutation.
+        # certified runs are long.  The runs trust the envelope's lower
+        # bound on every genus cap, which each mutation keeps: a raised
+        # cap trivially, and a cap lowered by 1 too, since pi1 and pi2
+        # lie at least m1 >= 1 and 2*m2 >= 2 above the bound
+        # (bounds.castelnuovo_envelope).  The report fails exactly under
+        # the mutations that raise pi2.
         monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
         report = verify.verify_r_ge_11(r, 400)
         assert report_parts(report) == interval_walk_r11(r, 400)
-        assert report.ok == (mutation is REAL_PROFILE)
+        assert report.ok == (mutation in (REAL_PROFILE, pi1_off_by_one, pi1_lowered_by_1, pi2_lowered_by_1))
 
     @pytest.mark.parametrize("d_max", [10, 60, 200])
     def test_thm_r3(self, d_max):
