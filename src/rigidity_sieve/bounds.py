@@ -78,7 +78,7 @@ def max_genus_pi(d: int, r: int) -> int:
     C(m,2)(r-1) + m*eps (castelnuovo_core).
 
     Cached, without a bound: `verify all` on its default universe leaves
-    6,503 entries, and `query --r 100 --d 985000 --g 985001` 298,182,
+    8,849 entries, and `query --r 100 --d 985000 --g 985001` 298,182,
     one per alpha of its window.
     """
     if r < 2:
@@ -87,23 +87,6 @@ def max_genus_pi(d: int, r: int) -> int:
         raise ValueError(f"need d >= r, got d={d}, r={r}")
     m, eps = divmod(d - 1, r - 1)
     return castelnuovo_core(m, eps, r - 1)
-
-
-def castelnuovo_envelope(d: int, alpha: int) -> tuple[int, int]:
-    """(lower, lower_den) = ((d - 1)(d - alpha - 2), 2(alpha + 1)), with
-    lower_den * c >= lower for c each of pi(d, alpha), pi1 and pi2 at
-    (d, alpha), so for every genus cap, wherever castelnuovo_profile is
-    defined.
-
-    With n = d - 1 = m*q + eps, castelnuovo_core(m, eps, q) equals
-    (n - eps)(n - q + eps) / (2q), as m = (n - eps)/q: a concave parabola
-    in eps, equal at eps = 0 and q, so at least n^2/(2q) - n/2 on
-    0 <= eps <= q, which falls as q grows.  pi is the core at
-    q = alpha - 1, pi1 the core at q = alpha plus m1 + mu1 >= 0, and pi2
-    the core at q = alpha + 1 plus 2*m2 + mu2 >= 0; so each is at least
-    the bound at q = alpha + 1.
-    """
-    return (d - 1) * (d - alpha - 2), 2 * (alpha + 1)
 
 
 def mu(eps: int, alpha: int, first: bool) -> int:

@@ -14,9 +14,9 @@ classification table for the handful of exceptional (d, g).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -389,47 +389,6 @@ def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
                 yield (alpha, span.case, *span.interval(alpha), cap)
 
 
-def _negative_run(values: tuple, lo: int, hi: int) -> tuple[int, int]:
-    """(first, last): the x in lo..hi with p(x) < 0, empty when
-    first > last.  p is a polynomial of degree at most 2 with a
-    non-negative x^2 coefficient, given by its values (p(0), p(1), p(2)),
-    so that p(x) = p(0) + x*(p(1) - p(0)) + C(x, 2)*(p(2) - 2p(1) + p(0))
-    and its negative x form one run.
-
-    With 2p = a*x^2 + b*x + c, a quadratic is negative strictly between
-    its roots (-b -+ sqrt(disc)) / 2a.  With root = isqrt(disc) each real
-    root lies in a known interval of width at most 1/(2a) <= 1/2, so the
-    floor of one end gives the run's end up to one step, which one
-    evaluation of 2p on the root's side of the vertex settles.
-    """
-    at_0, at_1, at_2 = values
-    a = at_2 - 2 * at_1 + at_0
-    b = 2 * (at_1 - at_0) - a
-    c = 2 * at_0
-    if a == 0:
-        if b > 0:
-            first, last = lo, (-c - 1) // b
-        elif b < 0:
-            first, last = c // -b + 1, hi
-        else:
-            first, last = (lo, hi) if c < 0 else (hi + 1, hi)
-        return max(first, lo), min(last, hi)
-    disc = b * b - 4 * a * c
-    if disc <= 0:
-        return hi + 1, hi
-    root = math.isqrt(disc)
-    # The lower root lies in ((-b - root - 1)/2a, (-b - root)/2a]: the
-    # least integer above it is the floor of the left end plus 1 or 2.
-    first = (-b - root - 1) // (2 * a) + 1
-    if 2 * a * first + b < 0 and (a * first + b) * first + c >= 0:
-        first += 1
-    # The upper root lies in [(-b + root)/2a, (-b + root + 1)/2a).
-    last = -((b - root - 1) // (2 * a)) - 1
-    if 2 * a * last + b > 0 and (a * last + b) * last + c >= 0:
-        last -= 1
-    return max(first, lo), min(last, hi)
-
-
 # The exact pi cut.  With n = d - 1, q = alpha - 1 and m = n // q,
 # pi(d, alpha) = castelnuovo_core(m, n - m*q, q) = m*n - C(m+1, 2)*q.  On a
 # block of alphas with one m it is linear in alpha and falls by
@@ -467,41 +426,40 @@ def _under_pi(d: int, span: _Span) -> list:
 # The certified runs of r11.  A span's interval at alpha is [L(alpha),
 # g_max] cut by the genus cap, with L falling as alpha rises, while the
 # alpha cap does not cut it: in cases 1/2 always, in cases 3/4 while
-# 3*alpha <= cap_top - g_max, which top must keep.  r11 passes
-# top = (d - 1) // 3, below its step-(a) boundary 3*alpha >= d, where
-# cap_top - 3*alpha >= 2d - 3*alpha > d >= g_max in cases 3/4, so every
-# case is certified alike, and step (a), needing g >= 2d - 3*alpha, has
-# no g.  Every genus cap meets the envelope, lower_den * cap >= lower.
-# A run starts at alpha_lo if the envelope puts the cap there at g_max
-# or above, a linear test that holds on a prefix.  A later alpha keeps
-# the union an interval from L(alpha) up if the envelope puts its cap at
-# L(alpha - 1) or above, and if L(alpha - 1) is g_min every later
-# interval lies in the union.  Past the prefix that test is read against
-# L(alpha - 1) <= (per_g - 1 - at_zero - per_alpha*(alpha - 1)) / per_g,
-# the slack's ceiling bound: a convex quadratic in alpha that may hold
-# again past its upper root, so the run ends at its first failure.
+# 3*alpha <= cap_top - g_max, which r11's top keeps (3*alpha < d, with
+# cap_top >= 2d and g_max <= d).  A run starts at alpha_lo if the cap
+# there is at g_max or above, and a later alpha keeps the union
+# [L(alpha), g_max] if it passes the join test genus_cap(d, alpha) + 1
+# >= L(alpha - 1).  r11 has alpha >= r >= 11, and 3(alpha + 1) <= n =
+# d - 1 for any two alphas alpha, alpha + 1 at or below its top.  There
+# pi, pi1 and pi2 are all active, and with F_q as above _profile_cap
+# each falls by at least 2 from alpha to alpha + 1.  F_q(n) - F_(q+1)(n)
+# counts, for each k >= 1, the j <= n with k*q <= j <= k(q + 1) - 1: k of
+# them once k(q + 1) - 1 <= n, and at least one once k*q <= n.  So:
+# - pi = F_(alpha-1)(n - 1) falls by at least 1 + 2;
+# - pi1 = F_alpha(n) + mu1 by at least 1 + 2, less a mu1 swing of 1;
+# - pi2 = F_(alpha+1)(n) + m2 + mu2 by at least 1 + 2 + 1 (k = 3 from
+#   3(alpha + 1) <= n; m2 does not rise), less a mu2 swing of at most 2.
+# So genus_cap falls by at least 2.  L is the ceiling of a line that
+# falls by per_alpha/per_g < 2 per alpha, raised to g_min, so it falls by
+# at most 2: per_alpha < 2*per_g in every case at r >= 8 (r + 1 <
+# 2(r - 3), r - 2 < 2(r - 3), r - 2 < 2(r - 4)).  So genus_cap(d, alpha)
+# + 1 - L(alpha - 1) does not rise with alpha, the join test holds on a
+# prefix and fails after it, and bisection finds the run's last alpha.
 def _certified_pieces(d: int, r: int, g_min: int, g_max: int, top: int) -> tuple[list, list]:
-    """(runs, pieces) over the _spans of (d, r) on g_min..g_max: runs
-    holds (case, g_lo, g_max) per span whose first alphas, up to top,
-    have capped intervals with that union (g_lo at the run's last
-    alpha); pieces holds (span, lo, alpha_hi) per span, in span order,
+    """(runs, pieces) over the _spans of (d, r) on g_min..g_max, r >= 11:
+    runs holds (case, g_lo, g_max) per span whose first alphas, up to
+    top, have capped intervals with that union (g_lo at the run's last
+    alpha, the last that passes the join test); pieces holds (span, lo, alpha_hi) per span, in span order,
     with the alphas past the run for _span_intervals to walk."""
-    envelope = [bounds.castelnuovo_envelope(d, alpha) for alpha in range(3)]
     runs, pieces = [], []
     for span in _spans(d, r, g_min, g_max):
-        hi = min(span.alpha_hi, top)
-        prefix = [lower - lower_den * span.g_max for lower, lower_den in envelope]
-        chain = [
-            span.per_g * lower - lower_den * (span.per_g - 1 - span.at_zero - span.per_alpha * (alpha - 1))
-            for alpha, (lower, lower_den) in enumerate(envelope)
-        ]
         last = span.alpha_lo - 1
-        for values in (prefix, chain):
-            first, stop = _negative_run(values, last + 1, hi)
-            last = first - 1 if first <= stop else max(last, hi)
-            if last < span.alpha_lo:
-                break
-        else:
+        if span.alpha_lo <= top and genus_cap(d, span.alpha_lo) >= span.g_max:
+            tail = range(span.alpha_lo + 1, min(span.alpha_hi, top) + 1)
+            last = span.alpha_lo + bisect.bisect_left(
+                tail, True, key=lambda alpha: genus_cap(d, alpha) + 1 < span.interval(alpha - 1)[0]
+            )
             runs.append((span.case, span.interval(last)[0], span.g_max))
         pieces.append((span, last + 1, span.alpha_hi))
     return runs, pieces

@@ -472,8 +472,10 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []
-        # The certified runs end below (a)'s boundary, where (a) has no g.
-        runs, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, (below_top - 1) // 3)
+        # The certified runs end below both of (a)'s boundaries, where (a)
+        # has no g: 3*alpha < below_top, and above_top - 3*alpha > d.
+        top = min(below_top - 1, above_top - d - 1) // 3
+        runs, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, top)
         fired = {case.index: [(g_lo, g_hi) for c, g_lo, g_hi in runs if c is case] for case in SieveCase}
         for alpha, case, g_lo, g_hi, cap in sieve._span_intervals(d, pieces):
             if g_lo <= cap:

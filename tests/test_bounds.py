@@ -1,10 +1,8 @@
 """Tests for the exact-integer invariant layer."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from rigidity_sieve import bounds, sieve
+from rigidity_sieve import bounds
 from rigidity_sieve.bounds import CurveClass
 
 
@@ -77,27 +75,6 @@ class TestMaxGenusPi:
         for r in (3, 5, 8):
             values = [bounds.max_genus_pi(d, r) for d in range(r, 120)]
             assert values == sorted(values)
-
-
-def assert_envelope_holds(d, alpha):
-    """The envelope inequality at (d, alpha), in the profile's domain:
-    pi, pi1, pi2 and so genus_cap above the lower bound."""
-    lower, lower_den = bounds.castelnuovo_envelope(d, alpha)
-    assert (lower, lower_den) == ((d - 1) * (d - alpha - 2), 2 * (alpha + 1))
-    prof = bounds.castelnuovo_profile(d, alpha)
-    for cap in (bounds.max_genus_pi(d, alpha), prof.pi1, prof.pi2, sieve.genus_cap(d, alpha)):
-        assert lower_den * cap >= lower, (d, alpha, cap)
-
-
-class TestCastelnuovoEnvelope:
-    def test_holds_on_the_profile_domain(self):
-        for d in range(5, 401):
-            for alpha in range(3, d - 1):
-                assert_envelope_holds(d, alpha)
-
-    @given(data=st.data(), d=st.integers(5, 10**9))
-    def test_holds_at_large_degrees(self, data, d):
-        assert_envelope_holds(d, data.draw(st.integers(3, d - 2), label="alpha"))
 
 
 class TestCastelnuovoCore:

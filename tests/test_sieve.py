@@ -699,108 +699,136 @@ class TestPiCut:
         assert_pi_cut_is_exact(d, span)
 
 
-def brute_negative_run(values, lo, hi):
-    """The x in lo..hi at which the polynomial with values (p(0), p(1),
-    p(2)) is negative, by evaluating it at each."""
-    at_0, at_1, at_2 = values
-    return [x for x in range(lo, hi + 1) if at_0 + x * (at_1 - at_0) + x * (x - 1) // 2 * (at_2 - 2 * at_1 + at_0) < 0]
+def joins(d, span, alpha):
+    """The join test of sieve._certified_pieces at alpha: the capped
+    interval at alpha reaches the union [L(alpha - 1), g_max]."""
+    return sieve.genus_cap(d, alpha) + 1 >= span.interval(alpha - 1)[0]
 
 
-def assert_negative_run(values, lo, hi):
-    first, last = sieve._negative_run(values, lo, hi)
-    assert list(range(first, last + 1)) == brute_negative_run(values, lo, hi), (values, lo, hi)
-    return first, last
+def assert_runs_are_maximal(d, top, pieces):
+    """Each span of the pieces of _certified_pieces at degree d with this
+    top has the longest run the start and join tests allow: none when its
+    first alpha is past top or its cap there is under g_max; else the join
+    test holds at the run's last alpha past the first and fails one past
+    it, if that alpha is at most min(alpha_hi, top).  Returns the number
+    of runs that the join test ended."""
+    ended = 0
+    for span, lo, _ in pieces:
+        last = lo - 1
+        if last < span.alpha_lo:
+            assert span.alpha_lo > top or sieve.genus_cap(d, span.alpha_lo) < span.g_max, (d, span)
+            continue
+        assert sieve.genus_cap(d, span.alpha_lo) >= span.g_max, (d, span)
+        assert last == span.alpha_lo or joins(d, span, last), (d, span)
+        if last + 1 <= min(span.alpha_hi, top):
+            assert not joins(d, span, last + 1), (d, span)
+            ended += 1
+    return ended
 
 
-class TestNegativeRun:
-    @staticmethod
-    def values(poly):
-        return poly(0), poly(1), poly(2)
+def assert_caps_fall_by_2(d, alphas):
+    """genus_cap(d, alpha) - genus_cap(d, alpha + 1) >= 2 at each alpha."""
+    for alpha in alphas:
+        assert sieve.genus_cap(d, alpha) - sieve.genus_cap(d, alpha + 1) >= 2, (d, alpha)
 
-    @pytest.mark.parametrize(
-        "poly,want",
-        [
-            (lambda x: x * x + 1, None),  # discriminant < 0
-            (lambda x: (x - 3) ** 2, None),  # = 0: zero at 3, never negative
-            (lambda x: (x - 2) * (x - 7), (3, 6)),  # a square, integer roots
-            (lambda x: (2 * x - 3) * (2 * x - 9), (2, 4)),  # a square, roots 1.5 and 4.5
-            (lambda x: (3 * x - 1) * (3 * x - 2), None),  # roots 1/3, 2/3: no integer between
-            (lambda x: x * x - 10, (-3, 3)),  # not a square
-            (lambda x: x * (x - 5) // 2, (1, 4)),  # 2p has an odd x coefficient
-            (lambda x: 3 * x - 7, (-50, 2)),  # linear, rising
-            (lambda x: 7 - 3 * x, (3, 50)),  # linear, falling
-            (lambda x: -1, (-50, 50)),
-            (lambda x: 0, None),
-        ],
-    )
-    def test_against_brute_force(self, poly, want):
-        values = self.values(poly)
-        first, last = assert_negative_run(values, -50, 50)
-        assert ((first, last) if first <= last else None) == want
-        if want is not None:
-            # Clipped at either end and at both.
-            lo, hi = want
-            assert_negative_run(values, lo + 1, 50)
-            assert_negative_run(values, -50, hi - 1)
-            assert_negative_run(values, lo + 1, hi - 1)
-            assert_negative_run(values, hi + 1, 50)
-            assert_negative_run(values, -50, lo - 1)
-        assert_negative_run(values, 5, 4)
 
-    @given(
-        a=st.integers(0, 40),
-        b=st.integers(-10**6, 10**6),
-        c=st.integers(-10**9, 10**9),
-        lo=st.integers(-2000, 2000),
-        width=st.integers(0, 400),
-    )
-    def test_against_brute_force_on_random_quadratics(self, a, b, c, lo, width):
-        assert_negative_run(self.values(lambda x: a * x * x + b * x + c), lo, lo + width)
+def caps_lowered_by(k):
+    """castelnuovo_profile with pi1 and pi2 lowered by k: the genus caps
+    still fall by at least 2 per alpha, and more runs end early."""
+    profile = bounds.castelnuovo_profile.__wrapped__
+
+    def lowered(d, alpha):
+        prof = profile(d, alpha)
+        return prof._replace(pi1=prof.pi1 - k, pi2=prof.pi2 - k)
+
+    return lowered
+
+
+def assert_certified_pieces(r, d_max):
+    """Over d <= d_max with r11's top (3*alpha < d), in every case: each
+    piece starts one past its span's run, the capped intervals read over a
+    run join exactly into the union it lists, step (a) has no g at any of
+    its alphas, and the run is maximal.  Returns the alphas in runs, the
+    alphas at or below the top, the cases with a run and the number of
+    runs that the join test ended."""
+    in_runs = below_top = ended = 0
+    cases = set()
+    for d in range(1, d_max + 1):
+        top = (d - 1) // 3
+        g_min = sieve.least_special_genus(d)
+        runs, pieces = sieve._certified_pieces(d, r, g_min, 2 * d, top)
+        assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
+        ended += assert_runs_are_maximal(d, top, pieces)
+        want_runs = []
+        for span, lo, hi in pieces:
+            last = lo - 1
+            assert span.alpha_lo - 1 <= last <= max(span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
+            assert hi == span.alpha_hi
+            below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
+            if last < span.alpha_lo:
+                continue
+            in_runs += last - span.alpha_lo + 1
+            cases.add(span.case)
+            want_runs.append((span.case, span.interval(last)[0], span.g_max))
+            capped = []
+            for alpha in range(span.alpha_lo, last + 1):
+                g_lo, g_hi = span.interval(alpha)
+                # (a)'s least g, as verify_r_ge_11 reads it.
+                if span.case.below:
+                    a_lo = g_lo if 3 * alpha >= sieve.cap_numerator(SieveCase.CASE2, d, 0) else g_hi + 1
+                else:
+                    a_lo = max(g_lo, sieve.cap_numerator(SieveCase.CASE4, d, 0) - 3 * alpha)
+                assert a_lo > g_hi, (d, r, span, alpha)
+                cap = sieve.genus_cap(d, alpha)
+                if g_lo <= cap:
+                    capped.append((g_lo, min(g_hi, cap)))
+            assert verify._merged(capped) == [list(want_runs[-1][1:])], (d, r, span)
+        assert runs == want_runs, (d, r)
+    return in_runs, below_top, cases, ended
 
 
 class TestCertifiedPieces:
+    def test_caps_fall_by_2_per_alpha_in_the_certified_region(self, monkeypatch):
+        # The premise of the bisection: 11 <= alpha, 3(alpha + 1) <= d - 1.
+        # The uncached bounds keep this sweep out of the caches.
+        monkeypatch.setattr(bounds, "castelnuovo_profile", bounds.castelnuovo_profile.__wrapped__)
+        monkeypatch.setattr(bounds, "max_genus_pi", bounds.max_genus_pi.__wrapped__)
+        for d in range(37, 1501):
+            assert_caps_fall_by_2(d, range(11, (d - 1) // 3))
+
+    @given(data=st.data(), d=st.integers(37, 2**63 - 1))
+    def test_caps_fall_by_2_per_alpha_up_to_the_input_ceiling(self, data, d):
+        top = (d - 1) // 3 - 1
+        alpha = data.draw(
+            st.one_of(st.integers(11, min(top, 40)), st.integers(max(11, top - 40), top), st.integers(11, top)),
+            label="alpha",
+        )
+        assert_caps_fall_by_2(d, [alpha])
+
+    @given(r=st.integers(11, 60), d=st.integers(1, 2**63 - 1), lowered=st.integers(0, 5))
+    def test_runs_are_maximal_up_to_the_input_ceiling(self, r, d, lowered):
+        # With the true caps the join test rarely ends a run before the
+        # top; caps lowered by a few make it end most of them.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(lowered))
+            top = (d - 1) // 3
+            _, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, top)
+            assert_runs_are_maximal(d, top, pieces)
+
     @pytest.mark.parametrize("r", [11, 12, 20])
     def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
-        # With r11's top (3*alpha < d), in every case: each piece starts
-        # one past its span's run, the capped intervals read over a run
-        # join exactly into the union it lists, and step (a) has no g at
-        # any of its alphas.  The runs hold most alphas below the top, and
-        # at r = 12 and 20 some case-3/4 span holds one (at r = 11 none
-        # does up to d = 800).
-        in_runs = below_top = 0
-        cases = set()
-        for d in range(1, 301):
-            top = (d - 1) // 3
-            g_min = sieve.least_special_genus(d)
-            runs, pieces = sieve._certified_pieces(d, r, g_min, 2 * d, top)
-            assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
-            want_runs = []
-            for span, lo, hi in pieces:
-                last = lo - 1
-                assert span.alpha_lo - 1 <= last <= max(span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
-                assert hi == span.alpha_hi
-                below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
-                if last < span.alpha_lo:
-                    continue
-                in_runs += last - span.alpha_lo + 1
-                cases.add(span.case)
-                want_runs.append((span.case, span.interval(last)[0], span.g_max))
-                capped = []
-                for alpha in range(span.alpha_lo, last + 1):
-                    g_lo, g_hi = span.interval(alpha)
-                    # (a)'s least g, as verify_r_ge_11 reads it.
-                    if span.case.below:
-                        a_lo = g_lo if 3 * alpha >= sieve.cap_numerator(SieveCase.CASE2, d, 0) else g_hi + 1
-                    else:
-                        a_lo = max(g_lo, sieve.cap_numerator(SieveCase.CASE4, d, 0) - 3 * alpha)
-                    assert a_lo > g_hi, (d, r, span, alpha)
-                    cap = sieve.genus_cap(d, alpha)
-                    if g_lo <= cap:
-                        capped.append((g_lo, min(g_hi, cap)))
-                assert verify._merged(capped) == [list(want_runs[-1][1:])], (d, r, span)
-            assert runs == want_runs, (d, r)
+        # The runs hold most alphas below the top, and some case-3/4 span
+        # holds one.
+        in_runs, below_top, cases, _ = assert_certified_pieces(r, 300)
         assert in_runs > below_top // 2
-        assert bool(cases - {SieveCase.CASE1, SieveCase.CASE2}) == (r != 11)
+        assert cases - {SieveCase.CASE1, SieveCase.CASE2}
+
+    @pytest.mark.parametrize("r", [11, 12, 20])
+    def test_runs_end_where_lowered_caps_stop_joining(self, monkeypatch, r):
+        # Caps lowered by 5 keep the bisection's premise, and the join
+        # test ends runs before the top.
+        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(5))
+        assert assert_certified_pieces(r, 300)[3] > 0
 
 
 class TestDerivedInequalities:

@@ -185,7 +185,7 @@ def naive_r11(r, d_max):
 
 
 def interval_walk_r11(r, d_max):
-    """verify_r_ge_11 as it ran before the envelope's certified runs:
+    """verify_r_ge_11 as it ran before the certified runs:
     every (alpha, case) window interval is walked, with genus_cap read
     once per alpha.  naive_r11 walks every (d, g) and stops at small d;
     this oracle reaches the degrees where the certified runs are long."""
@@ -793,22 +793,27 @@ class TestHighR:
         with pytest.raises(ValueError):
             verify.verify_r_ge_11(10, 50)
 
-    def test_walks_8748_alpha_case_on_the_verify_all_universe(self, monkeypatch):
+    def test_walks_6182_alpha_case_on_the_verify_all_universe(self, monkeypatch):
         # The window intervals that r11 walks past the certified runs on
-        # its universe of `verify all` (r = 11, 12, d <= 400), 5,420 of
-        # them in cases 3/4.  A shorter certificate walks more.
+        # its universe of `verify all` (r = 11, 12, d <= 400), by side of
+        # d < g and of the certified top (3*alpha < d).  The runs are
+        # maximal, so the 468 case-1/2 alphas walked at or below the top
+        # come from spans whose first cap lies under g_max, and no
+        # case-3/4 alpha there is walked.  A shorter certificate walks more.
         walked = Counter()
         real = sieve._span_intervals
 
         def counting(d, pieces):
             for entry in real(d, pieces):
-                walked[entry[1].below] += 1
+                walked[entry[1].below, 3 * entry[0] < d] += 1
                 yield entry
 
         monkeypatch.setattr(sieve, "_span_intervals", counting)
         for r in (11, 12):
             verify.verify_r_ge_11(r, 400)
-        assert (walked.total(), walked[False]) == (8748, 5420)
+        assert walked.total() == 6182
+        assert walked[False, False] + walked[False, True] == 4979
+        assert (walked[True, True], walked[False, True]) == (468, 0)
 
     def test_least_genus_is_where_the_degree_bound_starts(self):
         # Step (b) expands only the g below each case's least genus.
@@ -1133,12 +1138,12 @@ class TestAgainstPerPointOracles:
     )
     def test_r11_against_the_interval_walk(self, monkeypatch, r, mutation):
         # naive_r11 stops at d = 80; this reaches d = 400, where the
-        # certified runs are long.  The runs trust the envelope's lower
-        # bound on every genus cap, which each mutation keeps: a raised
-        # cap trivially, and a cap lowered by 1 too, since pi1 and pi2
-        # lie at least m1 >= 1 and 2*m2 >= 2 above the bound
-        # (bounds.castelnuovo_envelope).  The report fails exactly under
-        # the mutations that raise pi2.
+        # certified runs are long.  The runs are found by bisection on
+        # the premise that every genus cap falls by at least 2 per alpha
+        # (sieve._certified_pieces), which each mutation keeps: it moves
+        # pi1, pi2 or both by a constant, or raises pi2 where mu2 = 0,
+        # which only narrows mu2's swing.  The report fails exactly under the
+        # mutations that raise pi2.
         monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
         report = verify.verify_r_ge_11(r, 400)
         assert report_parts(report) == interval_walk_r11(r, 400)
