@@ -78,7 +78,7 @@ def max_genus_pi(d: int, r: int) -> int:
     C(m,2)(r-1) + m*eps (castelnuovo_core).
 
     Cached, without a bound: `verify all` on its default universe leaves
-    8,849 entries, and `query --r 100 --d 985000 --g 985001` 298,182,
+    7,220 entries, and `query --r 100 --d 985000 --g 985001` 298,182,
     one per alpha of its window.
     """
     if r < 2:

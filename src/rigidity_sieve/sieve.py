@@ -14,7 +14,6 @@ classification table for the handful of exceptional (d, g).
 
 from __future__ import annotations
 
-import bisect
 import collections
 import enum
 from dataclasses import dataclass
@@ -374,10 +373,9 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
 
 
 def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
-    """(alpha, case, g_lo, g_hi, cap) at every alpha of every piece
-    (span, lo, hi), whose alphas are lo..hi, in (alpha, case) order, with
-    cap = genus_cap(d, alpha), read once per alpha.  The pieces come in
-    case order, and those of one case have disjoint alpha ranges.  The
+    """(alpha, case, g_lo, g_hi, cap) at every alpha lo..hi of every
+    piece (span, lo, hi), one per span in case order, in (alpha, case)
+    order, with cap = genus_cap(d, alpha), read once per alpha.  The
     alpha line is cut where a piece starts or ends, so each alpha visits
     only the spans that hold it."""
     edges = sorted({lo for _, lo, _ in pieces} | {hi + 1 for _, _, hi in pieces})
@@ -397,19 +395,21 @@ def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
 # per_alpha*alpha)/per_g is at most pi, that is when at_zero +
 # per_g*pi + per_alpha*alpha >= 0, a line that falls by
 # per_g*C(m+1, 2) - per_alpha per step.  Both lines fall on every block
-# a span holds, so each keeps a prefix of the block:
-# - cases 1/2: 3*alpha <= d + 1 gives n >= 3q + 1, so m >= 3, and
-#   per_g*C(m+1, 2) >= 6(r - 3) > r + 1 >= per_alpha at r >= 4;
+# a span holds, and across blocks, so the kept alphas are one prefix:
+# pi(d, alpha) - pi(d, alpha + 1) = F_(alpha-1)(n - 1) - F_alpha(n - 1)
+# (F_q as above _profile_cap) gets k from each k with k*alpha <= n.
+# - cases 1/2: 3*alpha <= d + 1 gives n >= 3q + 1, so m >= 3, and pi
+#   falls by at least 6 to the span's next alpha; 6(r - 3) > r + 1 >=
+#   per_alpha at r >= 4;
 # - cases 3/4 (spans only at r >= 6): the span's cut, the slack's g
 #   floor at most 2d - 3*alpha (+ 1 in case 3), gives (2r - 10)*alpha
-#   <= (r - 7)d + r, so 2*alpha <= d + 1 once d >= 3, n >= 2q and
-#   m >= 2; and 3(r - 3) > r + 1, 3(r - 4) > r - 2 at r >= 6.
-def _under_pi(d: int, span: _Span) -> list:
-    """The pieces (span, lo, hi) of the span's alphas at which g_lo <=
-    pi(d, alpha), one prefix per quotient block, in alpha order.  pi is
-    read off bounds.castelnuovo_core at the block's first alpha and the
-    next, with no cached call."""
-    n, pieces, alpha = d - 1, [], span.alpha_lo
+#   <= (r - 7)d + r, so 2*alpha <= d + 1 once d >= 3, n >= 2q, m >= 2
+#   and pi falls by at least 3; 3(r - 3) > r + 1, 3(r - 4) > r - 2.
+def _under_pi(d: int, span: _Span) -> int:
+    """The last alpha of the span with g_lo <= pi(d, alpha) (alpha_lo - 1
+    if none), found on the first quotient block where that prefix ends;
+    pi is read off bounds.castelnuovo_core, with no cached call."""
+    n, alpha = d - 1, span.alpha_lo
     while alpha <= span.alpha_hi:
         m = n // (alpha - 1)
         end = min(span.alpha_hi, n // m + 1)
@@ -417,10 +417,10 @@ def _under_pi(d: int, span: _Span) -> list:
         step = pi - bounds.castelnuovo_core(m, n - m * alpha, alpha)
         slack = span.at_zero + span.per_g * pi + span.per_alpha * alpha
         last = min(end, alpha + slack // (span.per_g * step - span.per_alpha), alpha + (pi - span.g_min) // step)
-        if last >= alpha:
-            pieces.append((span, alpha, last))
+        if last < end:
+            return max(last, alpha - 1)
         alpha = end + 1
-    return pieces
+    return span.alpha_hi
 
 
 # The certified runs of r11.  A span's interval at alpha is [L(alpha),
@@ -444,23 +444,22 @@ def _under_pi(d: int, span: _Span) -> list:
 # falls by per_alpha/per_g < 2 per alpha, raised to g_min, so it falls by
 # at most 2: per_alpha < 2*per_g in every case at r >= 8 (r + 1 <
 # 2(r - 3), r - 2 < 2(r - 3), r - 2 < 2(r - 4)).  So genus_cap(d, alpha)
-# + 1 - L(alpha - 1) does not rise with alpha, the join test holds on a
-# prefix and fails after it, and bisection finds the run's last alpha.
+# + 1 - L(alpha - 1) does not rise with alpha, and the join test holds
+# at every alpha of a run once it holds at the run's last.
 def _certified_pieces(d: int, r: int, g_min: int, g_max: int, top: int) -> tuple[list, list]:
     """(runs, pieces) over the _spans of (d, r) on g_min..g_max, r >= 11:
-    runs holds (case, g_lo, g_max) per span whose first alphas, up to
-    top, have capped intervals with that union (g_lo at the run's last
-    alpha, the last that passes the join test); pieces holds (span, lo, alpha_hi) per span, in span order,
-    with the alphas past the run for _span_intervals to walk."""
+    runs holds (case, g_lo, g_max) per span whose start test at alpha_lo
+    and join test at last = min(alpha_hi, top) hold, the union of its
+    capped intervals up to last; pieces holds (span, last + 1, alpha_hi)
+    per span (alpha_lo if no run), in span order, for _span_intervals."""
     runs, pieces = [], []
     for span in _spans(d, r, g_min, g_max):
-        last = span.alpha_lo - 1
-        if span.alpha_lo <= top and genus_cap(d, span.alpha_lo) >= span.g_max:
-            tail = range(span.alpha_lo + 1, min(span.alpha_hi, top) + 1)
-            last = span.alpha_lo + bisect.bisect_left(
-                tail, True, key=lambda alpha: genus_cap(d, alpha) + 1 < span.interval(alpha - 1)[0]
-            )
+        last = min(span.alpha_hi, top)
+        starts = span.alpha_lo <= last and genus_cap(d, span.alpha_lo) >= span.g_max
+        if starts and (last == span.alpha_lo or genus_cap(d, last) + 1 >= span.interval(last - 1)[0]):
             runs.append((span.case, span.interval(last)[0], span.g_max))
+        else:
+            last = span.alpha_lo - 1
         pieces.append((span, last + 1, span.alpha_hi))
     return runs, pieces
 
@@ -481,7 +480,7 @@ def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
     g_lo > pi are cut out exactly by quotient blocks (_under_pi); pi and
     the profile are read once per alpha that is left."""
     _check_domain(d, r)
-    pieces = [piece for span in _spans(d, r, least_special_genus(d), g_top) for piece in _under_pi(d, span)]
+    pieces = [(span, span.alpha_lo, _under_pi(d, span)) for span in _spans(d, r, least_special_genus(d), g_top)]
     for alpha, case, g_lo, g_hi, cap in _span_intervals(d, pieces):
         if g_lo <= cap:
             yield alpha, case, g_lo, min(g_hi, cap)

@@ -1,5 +1,8 @@
 """Every name a package module imports is used in that module, so an
-import left behind when its last reader goes is caught."""
+import left behind when its last reader goes is caught; and no module
+binds a sibling module's function to a name of its own, so a test that
+monkeypatches the function (criterion 10 patches
+bounds.castelnuovo_profile) reaches every caller."""
 
 import ast
 
@@ -30,3 +33,29 @@ def test_every_import_is_used(path):
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport math\nimport os.path\nfrom . import a as b\n\nos.sep\n"
     assert unused_imports(source) == ["math", "b"]
+
+
+MODULES = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+
+
+def bound_functions(source):
+    """module.name for each name that the source imports with
+    `from .module import name` and that is not a class of that sibling
+    module, in import order."""
+    bound = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            sibling = ast.parse(MODULES[node.module]).body
+            classes = {stmt.name for stmt in sibling if isinstance(stmt, ast.ClassDef)}
+            bound += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in classes]
+    return bound
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_classes_are_imported_from_sibling_modules(path):
+    assert bound_functions(MODULES[path.stem]) == []
+
+
+def test_the_check_finds_a_bound_function():
+    source = "from . import bounds\nfrom .bounds import CurveClass, castelnuovo_profile\n"
+    assert bound_functions(source) == ["bounds.castelnuovo_profile"]

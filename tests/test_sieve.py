@@ -627,9 +627,12 @@ def naive_pi(d, alpha):
 
 
 def assert_pi_cut_is_exact(d, span):
-    """_under_pi keeps exactly the span's alphas with g_lo <= pi(d, alpha),
-    and both of its lines fall on each quotient block the span holds."""
-    kept = [alpha for _, lo, hi in sieve._under_pi(d, span) for alpha in range(lo, hi + 1)]
+    """_under_pi ends the prefix of exactly the span's alphas with g_lo <=
+    pi(d, alpha), and both of its lines fall on each quotient block the
+    span holds."""
+    last = sieve._under_pi(d, span)
+    assert last >= span.alpha_lo - 1, (d, span)
+    kept = list(range(span.alpha_lo, last + 1))
     want = []
     for alpha in range(span.alpha_lo, span.alpha_hi + 1):
         m = (d - 1) // (alpha - 1)
@@ -639,7 +642,36 @@ def assert_pi_cut_is_exact(d, span):
     assert kept == want, (d, span)
 
 
+def assert_pi_falls_across_a_span(d, alpha):
+    """pi(d, alpha) - pi(d, alpha + 1) is at least 6 where 3(alpha + 1) <=
+    d + 1 (two alphas of a case-1/2 span) and at least 3 where 2(alpha +
+    1) <= d + 1 (of a case-3/4 span): the step that makes the alphas that
+    _under_pi keeps one prefix of the span."""
+    assert 2 * (alpha + 1) <= d + 1
+    fall = naive_pi(d, alpha) - naive_pi(d, alpha + 1)
+    assert fall >= (6 if 3 * (alpha + 1) <= d + 1 else 3), (d, alpha)
+
+
 class TestPiCut:
+    def test_pi_falls_across_a_span(self):
+        for d in range(3, 2001):
+            for alpha in range(2, (d - 1) // 2 + 1):
+                assert_pi_falls_across_a_span(d, alpha)
+
+    @given(data=st.data(), d=st.integers(5, 2**63 - 1))
+    def test_pi_falls_across_a_span_up_to_the_input_ceiling(self, data, d):
+        top, third = (d - 1) // 2, (d - 2) // 3
+        alpha = data.draw(
+            st.one_of(
+                st.integers(2, min(top, 40)),
+                st.integers(max(2, third - 40), min(top, third + 40)),
+                st.integers(max(2, top - 40), top),
+                st.integers(2, top),
+            ),
+            label="alpha",
+        )
+        assert_pi_falls_across_a_span(d, alpha)
+
     @pytest.mark.parametrize("r", [*range(4, 13), 20, 40])
     def test_exact_on_every_genus_range(self, r):
         # Every range 0 <= g_min <= g_max <= 2d + 2, so also those where
@@ -705,25 +737,20 @@ def joins(d, span, alpha):
     return sieve.genus_cap(d, alpha) + 1 >= span.interval(alpha - 1)[0]
 
 
-def assert_runs_are_maximal(d, top, pieces):
+def assert_runs_are_settled_at_their_end(d, top, pieces, data):
     """Each span of the pieces of _certified_pieces at degree d with this
-    top has the longest run the start and join tests allow: none when its
-    first alpha is past top or its cap there is under g_max; else the join
-    test holds at the run's last alpha past the first and fails one past
-    it, if that alpha is at most min(alpha_hi, top).  Returns the number
-    of runs that the join test ended."""
-    ended = 0
+    top has a run up to last = min(alpha_hi, top) exactly when its first
+    alpha is at most last, its cap there at least g_max, and the join
+    test holds at last; and then the join test holds at an alpha of the
+    run that data draws, as it does not rise with alpha."""
     for span, lo, _ in pieces:
-        last = lo - 1
-        if last < span.alpha_lo:
-            assert span.alpha_lo > top or sieve.genus_cap(d, span.alpha_lo) < span.g_max, (d, span)
-            continue
-        assert sieve.genus_cap(d, span.alpha_lo) >= span.g_max, (d, span)
-        assert last == span.alpha_lo or joins(d, span, last), (d, span)
-        if last + 1 <= min(span.alpha_hi, top):
-            assert not joins(d, span, last + 1), (d, span)
-            ended += 1
-    return ended
+        last = min(span.alpha_hi, top)
+        starts = span.alpha_lo <= last and sieve.genus_cap(d, span.alpha_lo) >= span.g_max
+        ends = last == span.alpha_lo or joins(d, span, last)
+        assert lo == (last + 1 if starts and ends else span.alpha_lo), (d, span)
+        if lo > span.alpha_lo + 1:
+            alpha = data.draw(st.integers(span.alpha_lo + 1, last), label="alpha")
+            assert joins(d, span, alpha), (d, span, alpha)
 
 
 def assert_caps_fall_by_2(d, alphas):
@@ -734,7 +761,8 @@ def assert_caps_fall_by_2(d, alphas):
 
 def caps_lowered_by(k):
     """castelnuovo_profile with pi1 and pi2 lowered by k: the genus caps
-    still fall by at least 2 per alpha, and more runs end early."""
+    still fall by at least 2 per alpha, and more spans fail the join test
+    at their end."""
     profile = bounds.castelnuovo_profile.__wrapped__
 
     def lowered(d, alpha):
@@ -747,22 +775,20 @@ def caps_lowered_by(k):
 def assert_certified_pieces(r, d_max):
     """Over d <= d_max with r11's top (3*alpha < d), in every case: each
     piece starts one past its span's run, the capped intervals read over a
-    run join exactly into the union it lists, step (a) has no g at any of
-    its alphas, and the run is maximal.  Returns the alphas in runs, the
-    alphas at or below the top, the cases with a run and the number of
-    runs that the join test ended."""
-    in_runs = below_top = ended = 0
+    run join exactly into the union it lists, and step (a) has no g at any
+    of its alphas.  Returns the alphas in runs, the alphas at or below the
+    top and the cases with a run."""
+    in_runs = below_top = 0
     cases = set()
     for d in range(1, d_max + 1):
         top = (d - 1) // 3
         g_min = sieve.least_special_genus(d)
         runs, pieces = sieve._certified_pieces(d, r, g_min, 2 * d, top)
         assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
-        ended += assert_runs_are_maximal(d, top, pieces)
         want_runs = []
         for span, lo, hi in pieces:
             last = lo - 1
-            assert span.alpha_lo - 1 <= last <= max(span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
+            assert last in (span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
             assert hi == span.alpha_hi
             below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
             if last < span.alpha_lo:
@@ -784,12 +810,13 @@ def assert_certified_pieces(r, d_max):
                     capped.append((g_lo, min(g_hi, cap)))
             assert verify._merged(capped) == [list(want_runs[-1][1:])], (d, r, span)
         assert runs == want_runs, (d, r)
-    return in_runs, below_top, cases, ended
+    return in_runs, below_top, cases
 
 
 class TestCertifiedPieces:
     def test_caps_fall_by_2_per_alpha_in_the_certified_region(self, monkeypatch):
-        # The premise of the bisection: 11 <= alpha, 3(alpha + 1) <= d - 1.
+        # The premise of the join test at a run's end: 11 <= alpha,
+        # 3(alpha + 1) <= d - 1.
         # The uncached bounds keep this sweep out of the caches.
         monkeypatch.setattr(bounds, "castelnuovo_profile", bounds.castelnuovo_profile.__wrapped__)
         monkeypatch.setattr(bounds, "max_genus_pi", bounds.max_genus_pi.__wrapped__)
@@ -805,30 +832,23 @@ class TestCertifiedPieces:
         )
         assert_caps_fall_by_2(d, [alpha])
 
-    @given(r=st.integers(11, 60), d=st.integers(1, 2**63 - 1), lowered=st.integers(0, 5))
-    def test_runs_are_maximal_up_to_the_input_ceiling(self, r, d, lowered):
-        # With the true caps the join test rarely ends a run before the
-        # top; caps lowered by a few make it end most of them.
+    @given(data=st.data(), r=st.integers(11, 60), d=st.integers(1, 2**63 - 1), lowered=st.integers(0, 5))
+    def test_runs_are_settled_at_their_end_up_to_the_input_ceiling(self, data, r, d, lowered):
+        # Caps lowered by a few make more spans fail the join test at
+        # their end, and so walk whole.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(lowered))
             top = (d - 1) // 3
             _, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, top)
-            assert_runs_are_maximal(d, top, pieces)
+            assert_runs_are_settled_at_their_end(d, top, pieces, data)
 
     @pytest.mark.parametrize("r", [11, 12, 20])
     def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
         # The runs hold most alphas below the top, and some case-3/4 span
         # holds one.
-        in_runs, below_top, cases, _ = assert_certified_pieces(r, 300)
+        in_runs, below_top, cases = assert_certified_pieces(r, 300)
         assert in_runs > below_top // 2
         assert cases - {SieveCase.CASE1, SieveCase.CASE2}
-
-    @pytest.mark.parametrize("r", [11, 12, 20])
-    def test_runs_end_where_lowered_caps_stop_joining(self, monkeypatch, r):
-        # Caps lowered by 5 keep the bisection's premise, and the join
-        # test ends runs before the top.
-        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(5))
-        assert assert_certified_pieces(r, 300)[3] > 0
 
 
 class TestDerivedInequalities:

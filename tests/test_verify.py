@@ -58,6 +58,11 @@ def pi2_lowered_by_1(d, alpha):
     return prof._replace(pi2=prof.pi2 - 1)
 
 
+def caps_lowered_by_5(d, alpha):
+    prof = REAL_PROFILE(d, alpha)
+    return prof._replace(pi1=prof.pi1 - 5, pi2=prof.pi2 - 5)
+
+
 # Every suite that reads the genus caps, on a small universe: label -> run.
 MATRIX_SUITES = {
     "spots": verify.verify_spot_values,
@@ -796,10 +801,11 @@ class TestHighR:
     def test_walks_6182_alpha_case_on_the_verify_all_universe(self, monkeypatch):
         # The window intervals that r11 walks past the certified runs on
         # its universe of `verify all` (r = 11, 12, d <= 400), by side of
-        # d < g and of the certified top (3*alpha < d).  The runs are
-        # maximal, so the 468 case-1/2 alphas walked at or below the top
-        # come from spans whose first cap lies under g_max, and no
-        # case-3/4 alpha there is walked.  A shorter certificate walks more.
+        # d < g and of the certified top (3*alpha < d).  Every span here
+        # that passes the start test passes the join test at its end, so
+        # the 468 case-1/2 alphas walked at or below the top come from
+        # spans whose first cap lies under g_max, and no case-3/4 alpha
+        # there is walked.  A shorter certificate walks more.
         walked = Counter()
         real = sieve._span_intervals
 
@@ -1132,22 +1138,24 @@ class TestAgainstPerPointOracles:
         "mutation",
         [
             REAL_PROFILE, caps_raised_by_40, pi2_raised_by_1, drop_mu2_case,
-            pi1_off_by_one, pi1_lowered_by_1, pi2_lowered_by_1,
+            pi1_off_by_one, pi1_lowered_by_1, pi2_lowered_by_1, caps_lowered_by_5,
         ],
         ids=lambda m: m.__name__,
     )
     def test_r11_against_the_interval_walk(self, monkeypatch, r, mutation):
         # naive_r11 stops at d = 80; this reaches d = 400, where the
-        # certified runs are long.  The runs are found by bisection on
-        # the premise that every genus cap falls by at least 2 per alpha
-        # (sieve._certified_pieces), which each mutation keeps: it moves
-        # pi1, pi2 or both by a constant, or raises pi2 where mu2 = 0,
-        # which only narrows mu2's swing.  The report fails exactly under the
-        # mutations that raise pi2.
+        # certified runs are long.  A run is settled by one join test at
+        # its end, on the premise that every genus cap falls by at least 2
+        # per alpha (sieve._certified_pieces), which each mutation keeps:
+        # it moves pi1, pi2 or both by a constant, or raises pi2 where
+        # mu2 = 0, which only narrows mu2's swing.  Caps lowered by 5 make
+        # many spans fail the join test at their end and walk whole.  The
+        # report fails exactly under the mutations that raise pi2.
         monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
         report = verify.verify_r_ge_11(r, 400)
         assert report_parts(report) == interval_walk_r11(r, 400)
-        assert report.ok == (mutation in (REAL_PROFILE, pi1_off_by_one, pi1_lowered_by_1, pi2_lowered_by_1))
+        lowered = (pi1_lowered_by_1, pi2_lowered_by_1, caps_lowered_by_5)
+        assert report.ok == (mutation in (REAL_PROFILE, pi1_off_by_one, *lowered))
 
     @pytest.mark.parametrize("d_max", [10, 60, 200])
     def test_thm_r3(self, d_max):
