@@ -777,8 +777,9 @@ def assert_certified_pieces(r, d_max):
     piece starts one past its span's run, the capped intervals read over a
     run join exactly into the union it lists, and step (a) has no g at any
     of its alphas.  Returns the alphas in runs, the alphas at or below the
-    top and the cases with a run."""
-    in_runs = below_top = 0
+    top, the cases with a run and the number of spans that pass the start
+    test but stop joining at their end, and so walk whole."""
+    in_runs = below_top = stopped = 0
     cases = set()
     for d in range(1, d_max + 1):
         top = (d - 1) // 3
@@ -792,6 +793,10 @@ def assert_certified_pieces(r, d_max):
             assert hi == span.alpha_hi
             below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
             if last < span.alpha_lo:
+                end = min(span.alpha_hi, top)
+                if span.alpha_lo < end and sieve.genus_cap(d, span.alpha_lo) >= span.g_max:
+                    assert not joins(d, span, end), (d, r, span)
+                    stopped += 1
                 continue
             in_runs += last - span.alpha_lo + 1
             cases.add(span.case)
@@ -810,7 +815,7 @@ def assert_certified_pieces(r, d_max):
                     capped.append((g_lo, min(g_hi, cap)))
             assert verify._merged(capped) == [list(want_runs[-1][1:])], (d, r, span)
         assert runs == want_runs, (d, r)
-    return in_runs, below_top, cases
+    return in_runs, below_top, cases, stopped
 
 
 class TestCertifiedPieces:
@@ -846,9 +851,17 @@ class TestCertifiedPieces:
     def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
         # The runs hold most alphas below the top, and some case-3/4 span
         # holds one.
-        in_runs, below_top, cases = assert_certified_pieces(r, 300)
+        in_runs, below_top, cases, _ = assert_certified_pieces(r, 300)
         assert in_runs > below_top // 2
         assert cases - {SieveCase.CASE1, SieveCase.CASE2}
+
+    @pytest.mark.parametrize("r", [11, 12, 20])
+    def test_runs_end_where_lowered_caps_stop_joining(self, monkeypatch, r):
+        # Caps lowered by 5 keep the premise of the join test, and some
+        # spans that pass the start test fail the join test at their end:
+        # they get no run and walk whole.
+        monkeypatch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(5))
+        assert assert_certified_pieces(r, 300)[3] > 0
 
 
 class TestDerivedInequalities:
