@@ -423,15 +423,19 @@ def _under_pi(d: int, span: _Span) -> int:
     return span.alpha_hi
 
 
-# The certified runs of r11.  A span's interval at alpha is [L(alpha),
-# g_max] cut by the genus cap, with L falling as alpha rises, while the
-# alpha cap does not cut it: in cases 1/2 always, in cases 3/4 while
-# 3*alpha <= cap_top - g_max, which r11's top keeps (3*alpha < d, with
-# cap_top >= 2d and g_max <= d).  A run starts at alpha_lo if the cap
+# The certified runs of r11, on its special g least_special_genus(d)..2d
+# up to top, the last alpha below both of step (a)'s boundaries, where
+# (a) has no g: 3*alpha < the case-2 numerator, and the case-4
+# numerator - 3*alpha > d >= g.  Both give 3*alpha < d; both are read,
+# so that a change to either numerator moves top.  A span's interval at
+# alpha is [L(alpha), g_max] cut by the genus cap, with L falling as
+# alpha rises, while the alpha cap does not cut it: in cases 1/2 always,
+# in cases 3/4 while 3*alpha <= cap_top - g_max, which top keeps
+# (cap_top >= 2d and g_max <= d).  A run starts at alpha_lo if the cap
 # there is at g_max or above, and a later alpha keeps the union
 # [L(alpha), g_max] if it passes the join test genus_cap(d, alpha) + 1
 # >= L(alpha - 1).  r11 has alpha >= r >= 11, and 3(alpha + 1) <= n =
-# d - 1 for any two alphas alpha, alpha + 1 at or below its top.  There
+# d - 1 for any two alphas alpha, alpha + 1 at or below top.  There
 # pi, pi1 and pi2 are all active, and with F_q as above _profile_cap
 # each falls by at least 2 from alpha to alpha + 1.  F_q(n) - F_(q+1)(n)
 # counts, for each k >= 1, the j <= n with k*q <= j <= k(q + 1) - 1: k of
@@ -446,14 +450,16 @@ def _under_pi(d: int, span: _Span) -> int:
 # 2(r - 3), r - 2 < 2(r - 3), r - 2 < 2(r - 4)).  So genus_cap(d, alpha)
 # + 1 - L(alpha - 1) does not rise with alpha, and the join test holds
 # at every alpha of a run once it holds at the run's last.
-def _certified_pieces(d: int, r: int, g_min: int, g_max: int, top: int) -> tuple[list, list]:
-    """(runs, pieces) over the _spans of (d, r) on g_min..g_max, r >= 11:
-    runs holds (case, g_lo, g_max) per span whose start test at alpha_lo
-    and join test at last = min(alpha_hi, top) hold, the union of its
-    capped intervals up to last; pieces holds (span, last + 1, alpha_hi)
-    per span (alpha_lo if no run), in span order, for _span_intervals."""
+def _certified_pieces(d: int, r: int) -> tuple[list, list]:
+    """(runs, pieces) over the _spans of (d, r) on r11's special g,
+    r >= 11: runs holds (case, g_lo, g_max) per span whose start test at
+    alpha_lo and join test at last = min(alpha_hi, top) hold, the union
+    of its capped intervals up to last; pieces holds (span, last + 1,
+    alpha_hi) per span (alpha_lo if no run), in span order, for
+    _span_intervals."""
+    top = min(cap_numerator(SieveCase.CASE2, d, 0) - 1, cap_numerator(SieveCase.CASE4, d, 0) - d - 1) // 3
     runs, pieces = [], []
-    for span in _spans(d, r, g_min, g_max):
+    for span in _spans(d, r, least_special_genus(d), 2 * d):
         last = min(span.alpha_hi, top)
         starts = span.alpha_lo <= last and genus_cap(d, span.alpha_lo) >= span.g_max
         if starts and (last == span.alpha_lo or genus_cap(d, last) + 1 >= span.interval(last - 1)[0]):
@@ -489,8 +495,9 @@ def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:
 def witnesses_by_genus(d: int, r: int, g_top: int) -> dict:
     """g -> the (alpha, case) of every witness of scan(d, g, r), in
     (alpha, case) order, for each g <= g_top that has one; the keys
-    ascend.  It expands the genus_intervals, so it is meant for universes
-    where few g survive."""
+    ascend.  It expands the genus_intervals: the thm41 and case34 suites
+    read it where few g survive, sweep at every g <= 2d of its rows,
+    holding each surviving g's witnesses at once (ROADMAP item 11)."""
     by_genus = collections.defaultdict(list)
     for alpha, case, g_lo, g_hi in genus_intervals(d, r, g_top):
         witness = (alpha, case)
@@ -541,10 +548,10 @@ def derived_satisfied(which: Ineq, value: int) -> bool:
 # clauses (p, q, s), each meaning s*d > p*g + q.  Every p is positive,
 # so a clause holds exactly for g up to its limit (s*d - q - 1) // p,
 # and the in-range g of one degree run from 1 to the largest AND limit.
-# Rows for r >= 11 come from _range_rows; range_genera adds the r = 9
-# exception.  The clause the paper's r = 5 range adds on the degree
-# window 101..113 is left out: the r = 5 row implies it there
-# (verify.r5_window_limit).
+# The row for r >= 11, one clause, is in range_g_limit; range_genera
+# adds the r = 9 exception.  The clause the paper's r = 5 range adds on
+# the degree window 101..113 is left out: the r = 5 row implies it
+# there (verify.r5_window_limit).
 #
 # The paper's r = 6 range has a fourth term, 2d > g + 10 and
 # 5d > 3g - 1, which adds nothing over the integers: 5d > 3g - 1 means
@@ -561,26 +568,16 @@ _RANGE_ROWS: dict[int, tuple] = {
     10: (((21, -4, 22),), ((17, 12, 18),)),
 }
 
-def _range_rows(r: int) -> tuple:
-    """The range row of r; for r >= 11 the single clause
-    (r+1)d > 2(r-5)g - r + 14 (at r = 11 that is d > g)."""
-    if r < 4:
-        raise ValueError(f"hypothesis ranges are defined for r >= 4, got {r}")
-    return _RANGE_ROWS.get(r) or (((2 * (r - 5), 14 - r, r + 1),),)
-
-
-def _clause_limit(d: int, clause: tuple) -> int:
-    """The largest g with s*d > p*g + q for the clause (p, q, s)."""
-    p, q, s = clause
-    return (s * d - q - 1) // p
-
 
 def range_g_limit(d: int, r: int) -> int:
     """The largest g >= 1 meeting the range row of r, or 0 if none: the
-    greatest over its ANDs of the least clause limit."""
+    greatest over its ANDs of the least clause limit.  The r >= 11 row is
+    the clause (r+1)d > 2(r-5)g - r + 14 (d > g at r = 11)."""
+    if r < 4:
+        raise ValueError(f"hypothesis ranges are defined for r >= 4, got {r}")
     limit = 0
-    for clauses in _range_rows(r):
-        limit = max(limit, min(_clause_limit(d, clause) for clause in clauses))
+    for clauses in _RANGE_ROWS.get(r) or (((2 * (r - 5), 14 - r, r + 1),),):
+        limit = max(limit, min((s * d - q - 1) // p for p, q, s in clauses))
     return limit
 
 

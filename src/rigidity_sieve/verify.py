@@ -439,6 +439,9 @@ def r11_least_genus(case: SieveCase, d: int, r: int) -> int:
 
         cases 1/2: 2(r+1)d <= 3(r-3)g - r + 8, resp. - r + 14
         cases 3/4:  (r+1)d <= 2(r-5)g - r + 8, resp. - r + 14
+
+    The case-4 bound is the complement of the r >= 11 range row, so its
+    least g is sieve.range_g_limit(d, r) + 1.
     """
     if case.below:
         num, den = 2 * (r + 1) * d, 3 * (r - 3)
@@ -472,10 +475,7 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []
-        # The certified runs end below both of (a)'s boundaries, where (a)
-        # has no g: 3*alpha < below_top, and above_top - 3*alpha > d.
-        top = min(below_top - 1, above_top - d - 1) // 3
-        runs, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, top)
+        runs, pieces = sieve._certified_pieces(d, r)
         fired = {case.index: [(g_lo, g_hi) for c, g_lo, g_hi in runs if c is case] for case in SieveCase}
         for alpha, case, g_lo, g_hi, cap in sieve._span_intervals(d, pieces):
             if g_lo <= cap:

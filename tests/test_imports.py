@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, so an
-import left behind when its last reader goes is caught; and no module
+import left behind when its last reader goes is caught; no module
 binds a sibling module's function to a name of its own, so a test that
 monkeypatches the function (criterion 10 patches
-bounds.castelnuovo_profile) reaches every caller."""
+bounds.castelnuovo_profile) reaches every caller; and every private
+top-level function is called somewhere in the package, so a helper
+cannot outlive its last caller."""
 
 import ast
 
@@ -59,3 +61,35 @@ def test_only_classes_are_imported_from_sibling_modules(path):
 def test_the_check_finds_a_bound_function():
     source = "from . import bounds\nfrom .bounds import CurveClass, castelnuovo_profile\n"
     assert bound_functions(source) == ["bounds.castelnuovo_profile"]
+
+
+def uncalled_private_functions(modules):
+    """module.name for each private top-level function of the modules
+    (name -> source) whose name no call in any of them names, in module
+    and source order.  A call f(...) names f, and m.f(...) names f."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    called = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return [
+        f"{name}.{stmt.name}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and stmt.name not in called
+    ]
+
+
+def test_every_private_function_is_called():
+    assert uncalled_private_functions(MODULES) == []
+
+
+def test_the_check_finds_an_uncalled_private_function():
+    modules = {
+        "a": "def _kept():\n    pass\n\n\ndef _orphan():\n    pass\n\n\ndef _elsewhere():\n    pass\n\n\n"
+        "def public():\n    def _nested():\n        pass\n\n    return _kept()\n",
+        "b": "from . import a\n\n\ndef _unused():\n    return a._elsewhere\n\n\na._elsewhere()\n",
+    }
+    assert uncalled_private_functions(modules) == ["a._orphan", "b._unused"]

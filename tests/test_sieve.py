@@ -674,13 +674,23 @@ class TestPiCut:
 
     @pytest.mark.parametrize("r", [*range(4, 13), 20, 40])
     def test_exact_on_every_genus_range(self, r):
-        # Every range 0 <= g_min <= g_max <= 2d + 2, so also those where
-        # g_min binds and those below the special g.
-        for d in range(1, 41):
-            for g_min in range(2 * d + 3):
-                for g_max in range(g_min, 2 * d + 3):
-                    for span in sieve._spans(d, r, g_min, g_max):
-                        assert_pi_cut_is_exact(d, span)
+        # Every range 0 <= g_min <= g_max <= 2d + 2 at d <= 40, so also
+        # those where g_min binds and those below the special g; and from
+        # each g_min where a gate or the case split starts, every g_max up
+        # to 4d + 3, since a span at r = 4 needs g above 3d.  The degrees
+        # from 3r - 1, where the case-1/2 spans start, give r = 20 and 40
+        # their spans.
+        checked = 0
+        for d in {*range(1, 41), *range(3 * r - 1, 3 * r + 4)}:
+            special = sieve.least_special_genus(d)
+            ranges = {(g_min, g_max) for g_min in (0, special, d, d + 1) for g_max in range(g_min, 4 * d + 4)}
+            if d <= 40:
+                ranges |= {(g_min, g_max) for g_min in range(2 * d + 3) for g_max in range(g_min, 2 * d + 3)}
+            for g_min, g_max in ranges:
+                for span in sieve._spans(d, r, g_min, g_max):
+                    assert_pi_cut_is_exact(d, span)
+                    checked += 1
+        assert checked > 0
 
     @settings(max_examples=300)
     @given(data=st.data(), d=st.integers(1, 3000), r=st.integers(4, 40))
@@ -784,7 +794,7 @@ def assert_certified_pieces(r, d_max):
     for d in range(1, d_max + 1):
         top = (d - 1) // 3
         g_min = sieve.least_special_genus(d)
-        runs, pieces = sieve._certified_pieces(d, r, g_min, 2 * d, top)
+        runs, pieces = sieve._certified_pieces(d, r)
         assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
         want_runs = []
         for span, lo, hi in pieces:
@@ -844,7 +854,7 @@ class TestCertifiedPieces:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(lowered))
             top = (d - 1) // 3
-            _, pieces = sieve._certified_pieces(d, r, sieve.least_special_genus(d), 2 * d, top)
+            _, pieces = sieve._certified_pieces(d, r)
             assert_runs_are_settled_at_their_end(d, top, pieces, data)
 
     @pytest.mark.parametrize("r", [11, 12, 20])

@@ -829,6 +829,16 @@ class TestHighR:
                     first = next(g for g in count() if holds(d, g))
                     assert verify.r11_least_genus(case, d, r) == first, (case, d, r)
 
+    def test_case4_bound_is_the_complement_of_the_range_row(self):
+        # Step (b)'s case-4 bound fails exactly on the r >= 11 range.
+        for r in range(11, 61):
+            for d in range(1, 2001):
+                assert verify.r11_least_genus(SieveCase.CASE4, d, r) == sieve.range_g_limit(d, r) + 1, (d, r)
+
+    @given(r=st.integers(11, 2**63 - 1), d=st.integers(1, 2**63 - 1))
+    def test_case4_bound_is_the_complement_of_the_range_row_up_to_the_input_ceiling(self, r, d):
+        assert verify.r11_least_genus(SieveCase.CASE4, d, r) == sieve.range_g_limit(d, r) + 1
+
 
 class TestR5Window:
     def test_canonical_window_is_clean_and_empty(self):
