@@ -184,10 +184,12 @@ def embed_dim_cap(d: int, g: int) -> int:
 # pi1 - pi2 >= m2(m2-1)/2 - 2 >= 1 once m2 >= 3.  d >= 2*alpha + 3 forces
 # m2 >= 2, and at m2 = 2 pi1 - pi2 is 1 + mu1, at least 1, and at least
 # 2 when mu2 is 0, 1 and 2 respectively.
-def _profile_cap(d: int, alpha: int, cap: int) -> int:
-    """cap lowered by the profile's genus caps at (d, alpha): to pi1 once
-    d >= 2*alpha + 1, and for alpha >= 8 with d >= 2*alpha + 3 also to
-    pi2.  This is the one encoding of the genus-cap rule."""
+def genus_cap(d: int, alpha: int) -> int:
+    """The largest genus that survives the three-step genus caps at
+    (d, alpha): pi(d, alpha), lowered to pi1 once d >= 2*alpha + 1, and
+    for alpha >= 8 with d >= 2*alpha + 3 also to pi2.  This is the one
+    encoding of the genus-cap rule."""
+    cap = bounds.max_genus_pi(d, alpha)
     prof = bounds.castelnuovo_profile(d, alpha)
     if d >= 2 * alpha + 1 and prof.pi1 < cap:
         cap = prof.pi1
@@ -196,18 +198,10 @@ def _profile_cap(d: int, alpha: int, cap: int) -> int:
     return cap
 
 
-def genus_cap(d: int, alpha: int) -> int:
-    """The largest genus that survives the three-step genus caps at
-    (d, alpha): pi(d, alpha) lowered by the profile's caps."""
-    return _profile_cap(d, alpha, bounds.max_genus_pi(d, alpha))
-
-
 def genus_caps_ok(d: int, g: int, alpha: int) -> bool:
     """Whether genus g survives the three-step genus caps at (d, alpha):
-    g <= pi(d, alpha), and g at most the profile's caps (_profile_cap),
-    read only when g <= pi."""
-    pi = bounds.max_genus_pi(d, alpha)
-    return g <= pi and g <= _profile_cap(d, alpha, pi)
+    g <= genus_cap(d, alpha), which reads pi and the profile at every g."""
+    return g <= genus_cap(d, alpha)
 
 
 def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
@@ -397,7 +391,7 @@ def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
 # per_g*C(m+1, 2) - per_alpha per step.  Both lines fall on every block
 # a span holds, and across blocks, so the kept alphas are one prefix:
 # pi(d, alpha) - pi(d, alpha + 1) = F_(alpha-1)(n - 1) - F_alpha(n - 1)
-# (F_q as above _profile_cap) gets k from each k with k*alpha <= n.
+# (F_q as above genus_cap) gets k from each k with k*alpha <= n.
 # - cases 1/2: 3*alpha <= d + 1 gives n >= 3q + 1, so m >= 3, and pi
 #   falls by at least 6 to the span's next alpha; 6(r - 3) > r + 1 >=
 #   per_alpha at r >= 4;
@@ -423,20 +417,20 @@ def _under_pi(d: int, span: _Span) -> int:
     return span.alpha_hi
 
 
-# The certified runs of r11, on its special g least_special_genus(d)..2d
-# up to top, the last alpha below both of step (a)'s boundaries, where
-# (a) has no g: 3*alpha < the case-2 numerator, and the case-4
-# numerator - 3*alpha > d >= g.  Both give 3*alpha < d; both are read,
-# so that a change to either numerator moves top.  A span's interval at
-# alpha is [L(alpha), g_max] cut by the genus cap, with L falling as
-# alpha rises, while the alpha cap does not cut it: in cases 1/2 always,
+# The certified runs of r11_intervals, on r11's special g up to top, the
+# last alpha below both of step (a)'s boundaries, where (a) has no g:
+# 3*alpha < the case-2 numerator, and the case-4 numerator - 3*alpha > d
+# >= g.  Both give 3*alpha < d; both are read once, for top and every
+# a_lo, so a change to either moves both.  A span's interval at alpha is
+# [L(alpha), g_max] cut by the genus cap, with L falling as alpha
+# rises, while the alpha cap does not cut it: in cases 1/2 always,
 # in cases 3/4 while 3*alpha <= cap_top - g_max, which top keeps
 # (cap_top >= 2d and g_max <= d).  A run starts at alpha_lo if the cap
 # there is at g_max or above, and a later alpha keeps the union
 # [L(alpha), g_max] if it passes the join test genus_cap(d, alpha) + 1
 # >= L(alpha - 1).  r11 has alpha >= r >= 11, and 3(alpha + 1) <= n =
 # d - 1 for any two alphas alpha, alpha + 1 at or below top.  There
-# pi, pi1 and pi2 are all active, and with F_q as above _profile_cap
+# pi, pi1 and pi2 are all active, and with F_q as above genus_cap
 # each falls by at least 2 from alpha to alpha + 1.  F_q(n) - F_(q+1)(n)
 # counts, for each k >= 1, the j <= n with k*q <= j <= k(q + 1) - 1: k of
 # them once k(q + 1) - 1 <= n, and at least one once k*q <= n.  So:
@@ -450,16 +444,20 @@ def _under_pi(d: int, span: _Span) -> int:
 # 2(r - 3), r - 2 < 2(r - 3), r - 2 < 2(r - 4)).  So genus_cap(d, alpha)
 # + 1 - L(alpha - 1) does not rise with alpha, and the join test holds
 # at every alpha of a run once it holds at the run's last.
-def _certified_pieces(d: int, r: int) -> tuple[list, list]:
-    """(runs, pieces) over the _spans of (d, r) on r11's special g,
-    r >= 11: runs holds (case, g_lo, g_max) per span whose start test at
-    alpha_lo and join test at last = min(alpha_hi, top) hold, the union
-    of its capped intervals up to last; pieces holds (span, last + 1,
-    alpha_hi) per span (alpha_lo if no run), in span order, for
-    _span_intervals."""
-    top = min(cap_numerator(SieveCase.CASE2, d, 0) - 1, cap_numerator(SieveCase.CASE4, d, 0) - d - 1) // 3
+def r11_intervals(d: int, r: int) -> tuple:
+    """(universe, runs, walk), r11's plan at degree d, r >= 11.  universe:
+    the special g, least_special_genus(d)..2d.  runs: (case, g_lo, g_max)
+    per _span over them whose start test at alpha_lo and join test at last
+    = min(alpha_hi, top) hold, the union of its capped intervals up to it.
+    walk: lazily, (alpha, case, g_lo, g_hi, cap, a_lo) of _span_intervals
+    past the runs, a_lo the least g of the interval where step (a) applies,
+    3*alpha >= the case-2 (in cases 3/4 case-4) numerator; else g_hi + 1."""
+    below_top = cap_numerator(SieveCase.CASE2, d, 0)
+    above_top = cap_numerator(SieveCase.CASE4, d, 0)
+    top = min(below_top - 1, above_top - d - 1) // 3
+    universe = range(least_special_genus(d), 2 * d + 1)
     runs, pieces = [], []
-    for span in _spans(d, r, least_special_genus(d), 2 * d):
+    for span in _spans(d, r, universe.start, 2 * d):
         last = min(span.alpha_hi, top)
         starts = span.alpha_lo <= last and genus_cap(d, span.alpha_lo) >= span.g_max
         if starts and (last == span.alpha_lo or genus_cap(d, last) + 1 >= span.interval(last - 1)[0]):
@@ -467,7 +465,16 @@ def _certified_pieces(d: int, r: int) -> tuple[list, list]:
         else:
             last = span.alpha_lo - 1
         pieces.append((span, last + 1, span.alpha_hi))
-    return runs, pieces
+
+    def walk() -> Iterator[tuple]:
+        for alpha, case, g_lo, g_hi, cap in _span_intervals(d, pieces):
+            if case.below:
+                a_lo = g_lo if 3 * alpha >= below_top else g_hi + 1
+            else:
+                a_lo = min(max(g_lo, above_top - 3 * alpha), g_hi + 1)
+            yield alpha, case, g_lo, g_hi, cap, a_lo
+
+    return universe, runs, walk()
 
 
 def genus_intervals(d: int, r: int, g_top: int) -> Iterator[tuple]:

@@ -456,9 +456,9 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
 
     (a) any slack-feasible alpha at or above the boundary (3*alpha at
         least the case-2 alpha-cap numerator for the d < g cases, the
-        case-4 one for the d >= g cases) has second profile with
-        denominator count 2, correction 0, and second genus cap at most
-        d resp. g-1 — hence is cap-excluded;
+        case-4 one for the d >= g cases; a_lo of sieve.r11_intervals)
+        has second profile with denominator count 2, correction 0, and
+        second genus cap at most d resp. g-1 — hence is cap-excluded;
     (b) every surviving witness at interior alpha satisfies the per-case
         degree bound in terms of g (r11_least_genus);
     (c) no survivor lies in the theorem's hypothesis range.
@@ -467,24 +467,16 @@ def verify_r_ge_11(r: int, d_max: int) -> VerificationReport:
     report = VerificationReport("r11", {"r": r, "d_max": d_max, "g": "2..2d"})
     survivors = 0
     for d in range(1, d_max + 1):
-        # (a)'s boundary; the case-4 numerator is above_top - g.
-        below_top = sieve.cap_numerator(SieveCase.CASE2, d, 0)
-        above_top = sieve.cap_numerator(SieveCase.CASE4, d, 0)
-        # g in [2, 2d] with d <= 2g - 2
-        report.checked += len(range(sieve.least_special_genus(d), 2 * d + 1))
+        universe, runs, walk = sieve.r11_intervals(d, r)
+        report.checked += len(universe)
         # Violations keyed by (g, case index, part, alpha), sorted at
         # the end of the degree; part (c) sorts after every case.
         found = []
-        runs, pieces = sieve._certified_pieces(d, r)
         fired = {case.index: [(g_lo, g_hi) for c, g_lo, g_hi in runs if c is case] for case in SieveCase}
-        for alpha, case, g_lo, g_hi, cap in sieve._span_intervals(d, pieces):
+        for alpha, case, g_lo, g_hi, cap, a_lo in walk:
             if g_lo <= cap:
                 fired[case.index].append((g_lo, min(g_hi, cap)))
             # (a): alpha is at or above the boundary on g >= a_lo.
-            if case.below:
-                a_lo = g_lo if 3 * alpha >= below_top else g_hi + 1
-            else:
-                a_lo = max(g_lo, above_top - 3 * alpha)
             if a_lo > g_hi:
                 continue
             prof = bounds.castelnuovo_profile(d, alpha)

@@ -4,7 +4,8 @@ binds a sibling module's function to a name of its own, so a test that
 monkeypatches the function (criterion 10 patches
 bounds.castelnuovo_profile) reaches every caller; and every private
 top-level function is called somewhere in the package, so a helper
-cannot outlive its last caller."""
+cannot outlive its last caller; and no module reads a private attribute
+of a sibling module, so each module's private names stay its own."""
 
 import ast
 
@@ -93,3 +94,37 @@ def test_the_check_finds_an_uncalled_private_function():
         "b": "from . import a\n\n\ndef _unused():\n    return a._elsewhere\n\n\na._elsewhere()\n",
     }
     assert uncalled_private_functions(modules) == ["a._orphan", "b._unused"]
+
+
+def sibling_private_reads(source):
+    """module._name for each private (underscore-prefixed) attribute that
+    the source reads off a sibling module bound by `from . import
+    module [as alias]`, in source order."""
+    tree = ast.parse(source)
+    siblings = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            siblings.update({alias.asname or alias.name: alias.name for alias in node.names})
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+        and node.attr.startswith("_")
+    ]
+    reads.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{siblings[node.value.id]}.{node.attr}" for node in reads]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_reads_a_sibling_private(path):
+    assert sibling_private_reads(MODULES[path.stem]) == []
+
+
+def test_the_check_finds_a_sibling_private_read():
+    source = (
+        "from . import bounds, sieve as s\n\n\ndef _own():\n    return s._spans(1)\n\n\n"
+        "x = bounds.castelnuovo_profile(5, 3)._replace(pi1=0)\ny = bounds._cache\n_own()\n"
+    )
+    assert sibling_private_reads(source) == ["sieve._spans", "bounds._cache"]

@@ -591,6 +591,18 @@ class TestGenusIntervals:
                 assert flags == [True] * (cap + 1) + [False] * 2, (d, alpha)
                 assert [sieve.genus_caps_ok(d, g, alpha) for g in range(cap + 3)] == flags, (d, alpha)
 
+    @given(data=st.data(), alpha=st.integers(3, 12) | st.integers(3, 2**63 - 3))
+    def test_genus_cap_is_the_largest_passing_genus_up_to_the_input_ceiling(self, data, alpha):
+        # d >= alpha + 2, where the profile is defined, up to the CLI's
+        # input ceiling, with the thresholds of the pi1 and pi2 caps,
+        # 2*alpha + 1 and 2*alpha + 3, drawn often.
+        ceiling = 2**63 - 1
+        near = [d for d in range(2 * alpha, 2 * alpha + 5) if d <= ceiling] or [ceiling]
+        d = data.draw(st.integers(alpha + 2, ceiling) | st.sampled_from(near), label="d")
+        cap = sieve.genus_cap(d, alpha)
+        assert naive_genus_caps_ok(d, cap, alpha) and not naive_genus_caps_ok(d, cap + 1, alpha)
+        assert sieve.genus_caps_ok(d, cap, alpha) and not sieve.genus_caps_ok(d, cap + 1, alpha)
+
     def test_pi_cut_walks_3123_alpha_case_on_the_thm41_universe(self, monkeypatch):
         # The (alpha, case) that genus_intervals walks past the pi cut on
         # the thm41 universe of `verify all` (r = 4..10, d <= 500, g up to
@@ -742,25 +754,58 @@ class TestPiCut:
 
 
 def joins(d, span, alpha):
-    """The join test of sieve._certified_pieces at alpha: the capped
-    interval at alpha reaches the union [L(alpha - 1), g_max]."""
+    """The join test of sieve.r11_intervals at alpha: the capped interval
+    at alpha reaches the union [L(alpha - 1), g_max]."""
     return sieve.genus_cap(d, alpha) + 1 >= span.interval(alpha - 1)[0]
 
 
-def assert_runs_are_settled_at_their_end(d, top, pieces, data):
-    """Each span of the pieces of _certified_pieces at degree d with this
-    top has a run up to last = min(alpha_hi, top) exactly when its first
-    alpha is at most last, its cap there at least g_max, and the join
-    test holds at last; and then the join test holds at an alpha of the
-    run that data draws, as it does not rise with alpha."""
-    for span, lo, _ in pieces:
+def r11_spans(d, r):
+    """The _spans of r11's universe at degree d, the special g up to 2d:
+    at most one per case."""
+    spans = sieve._spans(d, r, sieve.least_special_genus(d), 2 * d)
+    assert len({span.case for span in spans}) == len(spans), (d, r)
+    return spans
+
+
+def r11_pieces(d, r, runs):
+    """The pieces (span, lo, alpha_hi) that r11_intervals walks at degree
+    d, rebuilt from its runs: each case has at most one span, so a span
+    whose case has a run is walked from one past its end, min(alpha_hi,
+    top) with r11's top (d - 1) // 3, and any other span whole."""
+    top = (d - 1) // 3
+    cases = {case for case, _, _ in runs}
+    return [
+        (span, min(span.alpha_hi, top) + 1 if span.case in cases else span.alpha_lo, span.alpha_hi)
+        for span in r11_spans(d, r)
+    ]
+
+
+def step_a_lo(d, alpha, case, g_lo, g_hi):
+    """The least g of g_lo..g_hi at which step (a) applies, spelled out:
+    in cases 1/2 3*alpha >= d, the case-2 alpha-cap numerator, and in
+    cases 3/4 3*alpha >= 2d - g, the case-4 one; g_hi + 1 if none."""
+    if case.below:
+        return g_lo if 3 * alpha >= d else g_hi + 1
+    return min(max(g_lo, 2 * d - 3 * alpha), g_hi + 1)
+
+
+def assert_runs_are_settled_at_their_end(d, r, runs, data):
+    """r11_intervals at degree d has a run (case, L(last), g_max) for a
+    span, up to last = min(alpha_hi, top), exactly when its first alpha
+    is at most last, its cap there at least g_max, and the join test
+    holds at last; and then the join test holds at an alpha of the run
+    that data draws, as it does not rise with alpha."""
+    top = (d - 1) // 3
+    want = []
+    for span in r11_spans(d, r):
         last = min(span.alpha_hi, top)
         starts = span.alpha_lo <= last and sieve.genus_cap(d, span.alpha_lo) >= span.g_max
-        ends = last == span.alpha_lo or joins(d, span, last)
-        assert lo == (last + 1 if starts and ends else span.alpha_lo), (d, span)
-        if lo > span.alpha_lo + 1:
-            alpha = data.draw(st.integers(span.alpha_lo + 1, last), label="alpha")
-            assert joins(d, span, alpha), (d, span, alpha)
+        if starts and (last == span.alpha_lo or joins(d, span, last)):
+            want.append((span.case, span.interval(last)[0], span.g_max))
+            if last > span.alpha_lo:
+                alpha = data.draw(st.integers(span.alpha_lo + 1, last), label="alpha")
+                assert joins(d, span, alpha), (d, span, alpha)
+    assert runs == want, d
 
 
 def assert_caps_fall_by_2(d, alphas):
@@ -782,44 +827,41 @@ def caps_lowered_by(k):
     return lowered
 
 
-def assert_certified_pieces(r, d_max):
-    """Over d <= d_max with r11's top (3*alpha < d), in every case: each
-    piece starts one past its span's run, the capped intervals read over a
-    run join exactly into the union it lists, and step (a) has no g at any
-    of its alphas.  Returns the alphas in runs, the alphas at or below the
-    top, the cases with a run and the number of spans that pass the start
-    test but stop joining at their end, and so walk whole."""
+def assert_r11_intervals(r, d_max):
+    """Over d <= d_max with r11's top (3*alpha < d), in every case: the
+    universe is the special g up to 2d; the walk is _span_intervals of the
+    pieces rebuilt from the runs, each with step (a)'s least g by the
+    literal formula; each run ends at min(alpha_hi, top), the capped
+    intervals read over it join exactly into the union it lists, and step
+    (a) has no g at any of its alphas.  Returns the alphas in runs, the
+    alphas at or below the top, the cases with a run and the number of
+    spans that pass the start test but stop joining at their end, and so
+    walk whole."""
     in_runs = below_top = stopped = 0
     cases = set()
     for d in range(1, d_max + 1):
         top = (d - 1) // 3
-        g_min = sieve.least_special_genus(d)
-        runs, pieces = sieve._certified_pieces(d, r)
-        assert [span for span, _, _ in pieces] == sieve._spans(d, r, g_min, 2 * d)
+        universe, runs, walk = sieve.r11_intervals(d, r)
+        assert universe == range(sieve.least_special_genus(d), 2 * d + 1), d
+        pieces = r11_pieces(d, r, runs)
+        want_walk = [(*entry, step_a_lo(d, *entry[:4])) for entry in sieve._span_intervals(d, pieces)]
+        assert list(walk) == want_walk, (d, r)
         want_runs = []
-        for span, lo, hi in pieces:
-            last = lo - 1
-            assert last in (span.alpha_lo - 1, min(span.alpha_hi, top)), (d, r, span)
-            assert hi == span.alpha_hi
-            below_top += len(range(span.alpha_lo, min(span.alpha_hi, top) + 1))
-            if last < span.alpha_lo:
-                end = min(span.alpha_hi, top)
+        for span, lo, _ in pieces:
+            end = min(span.alpha_hi, top)
+            below_top += len(range(span.alpha_lo, end + 1))
+            if lo == span.alpha_lo:
                 if span.alpha_lo < end and sieve.genus_cap(d, span.alpha_lo) >= span.g_max:
                     assert not joins(d, span, end), (d, r, span)
                     stopped += 1
                 continue
-            in_runs += last - span.alpha_lo + 1
+            in_runs += end - span.alpha_lo + 1
             cases.add(span.case)
-            want_runs.append((span.case, span.interval(last)[0], span.g_max))
+            want_runs.append((span.case, span.interval(end)[0], span.g_max))
             capped = []
-            for alpha in range(span.alpha_lo, last + 1):
+            for alpha in range(span.alpha_lo, end + 1):
                 g_lo, g_hi = span.interval(alpha)
-                # (a)'s least g, as verify_r_ge_11 reads it.
-                if span.case.below:
-                    a_lo = g_lo if 3 * alpha >= sieve.cap_numerator(SieveCase.CASE2, d, 0) else g_hi + 1
-                else:
-                    a_lo = max(g_lo, sieve.cap_numerator(SieveCase.CASE4, d, 0) - 3 * alpha)
-                assert a_lo > g_hi, (d, r, span, alpha)
+                assert step_a_lo(d, alpha, span.case, g_lo, g_hi) > g_hi, (d, r, span, alpha)
                 cap = sieve.genus_cap(d, alpha)
                 if g_lo <= cap:
                     capped.append((g_lo, min(g_hi, cap)))
@@ -853,15 +895,14 @@ class TestCertifiedPieces:
         # their end, and so walk whole.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(lowered))
-            top = (d - 1) // 3
-            _, pieces = sieve._certified_pieces(d, r)
-            assert_runs_are_settled_at_their_end(d, top, pieces, data)
+            _, runs, _ = sieve.r11_intervals(d, r)
+            assert_runs_are_settled_at_their_end(d, r, runs, data)
 
     @pytest.mark.parametrize("r", [11, 12, 20])
     def test_certified_runs_are_unions_of_the_capped_intervals(self, r):
         # The runs hold most alphas below the top, and some case-3/4 span
         # holds one.
-        in_runs, below_top, cases, _ = assert_certified_pieces(r, 300)
+        in_runs, below_top, cases, _ = assert_r11_intervals(r, 300)
         assert in_runs > below_top // 2
         assert cases - {SieveCase.CASE1, SieveCase.CASE2}
 
@@ -871,7 +912,7 @@ class TestCertifiedPieces:
         # spans that pass the start test fail the join test at their end:
         # they get no run and walk whole.
         monkeypatch.setattr(bounds, "castelnuovo_profile", caps_lowered_by(5))
-        assert assert_certified_pieces(r, 300)[3] > 0
+        assert assert_r11_intervals(r, 300)[3] > 0
 
 
 class TestDerivedInequalities:

@@ -1156,7 +1156,7 @@ class TestAgainstPerPointOracles:
         # naive_r11 stops at d = 80; this reaches d = 400, where the
         # certified runs are long.  A run is settled by one join test at
         # its end, on the premise that every genus cap falls by at least 2
-        # per alpha (sieve._certified_pieces), which each mutation keeps:
+        # per alpha (sieve.r11_intervals), which each mutation keeps:
         # it moves pi1, pi2 or both by a constant, or raises pi2 where
         # mu2 = 0, which only narrows mu2's swing.  Caps lowered by 5 make
         # many spans fail the join test at their end and walk whole.  The
