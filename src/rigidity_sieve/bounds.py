@@ -49,18 +49,17 @@ class CastelnuovoProfile(NamedTuple):
     pi2: int
 
 
-def brill_noether(c: CurveClass) -> int:
+def brill_noether(d: int, g: int, r: int) -> int:
     """Brill-Noether number rho(d,g,r) = g - (r+1)(g-d+r); may be negative."""
-    return c.g - (c.r + 1) * (c.g - c.d + c.r)
+    return g - (r + 1) * (g - d + r)
 
 
-def euler_normal(c: CurveClass) -> int:
-    """Euler characteristic (r+1)d - (r-3)(g-1) of the normal bundle.
-
-    This is the expected dimension of the Hilbert scheme at a smooth
-    point; for r = 3 it collapses to 4d.
-    """
-    return (c.r + 1) * c.d - (c.r - 3) * (c.g - 1)
+def euler_normal(d: int, g: int, r: int) -> int:
+    """lambda = (r+1)d - (r-3)(g-1), the Euler characteristic of the
+    normal bundle and the least dimension of a component of the Hilbert
+    scheme; 4d for r = 3.  The one encoding of lambda: each case slack
+    of the sieve is its dimension bound minus it."""
+    return (r + 1) * d - (r - 3) * (g - 1)
 
 
 def castelnuovo_core(m: int, eps: int, q: int) -> int:
@@ -142,8 +141,9 @@ def quadric_types(d: int, g: int) -> list[tuple[int, int]]:
 
 
 def image_dim_r3(d: int, h1_normal: int) -> int:
-    """Dimension 4d - 15 + h1 of the moduli image of a (generically smooth)
-    component of curves of degree d in 3-space, h1 of the normal bundle given.
+    """Dimension lambda - 15 + h1 of the moduli image of a (generically
+    smooth) component of curves of degree d in 3-space, h1 of the normal
+    bundle given; 15 = dim PGL(4), and lambda = 4d reads no g at r = 3.
     """
-    return 4 * d - 15 + h1_normal
+    return euler_normal(d, 0, 3) - 15 + h1_normal
 

@@ -62,11 +62,8 @@ def build_query_report(d: int, g: int, r: int) -> dict:
     exactly when the corresponding quantity is defined.  The verdict is
     a sieve.Verdict; for r >= 4 its witnesses are a sieve.WitnessStream,
     which the writers below consume one witness at a time."""
-    curve = CurveClass(d, g, r)
-    invariants = {
-        "rho": bounds.brill_noether(curve),
-        "lambda": bounds.euler_normal(curve),
-    }
+    CurveClass(d, g, r)  # refuses d < 1, g < 0 and r < 3
+    invariants = {"rho": bounds.brill_noether(d, g, r), "lambda": bounds.euler_normal(d, g, r)}
     if d >= r:
         invariants["pi"] = bounds.max_genus_pi(d, r)
     if d >= r + 2:

@@ -142,17 +142,18 @@ _OUT_OF_SCOPE_G0 = Verdict(OUT_OF_SCOPE, reasons=(GENUS_ZERO,))
 
 
 def case_slack(case: SieveCase, d: int, g: int, r: int, alpha: int) -> int:
-    """Right side minus left side of the case's inequality; feasible iff >= 0.
+    """The case's dimension bound minus lambda (bounds.euler_normal), the
+    least dimension of a component; feasible iff >= 0.
 
-    Case1/Case3: (r-3)g - (r+1)(d-alpha) + 3
-    Case2:       (r-3)g - rd + (r-2)alpha + 4
-    Case4:       (r-4)g - (r-1)d + (r-2)alpha + 4
+    The bound is (r+1)alpha + r in cases 1/3 (zero-dimensional series
+    locus), and (r+1)alpha + r plus the side variable + 1 in cases 2/4,
+    the side variable (cap_numerator less 3*alpha) bounding the
+    dimension of the series locus.
     """
-    if case is SieveCase.CASE2:
-        return (r - 3) * g - r * d + (r - 2) * alpha + 4
-    if case is SieveCase.CASE4:
-        return (r - 4) * g - (r - 1) * d + (r - 2) * alpha + 4
-    return (r - 3) * g - (r + 1) * (d - alpha) + 3
+    bound = (r + 1) * alpha + r
+    if not case.index % 2:
+        bound += cap_numerator(case, d, g) - 3 * alpha + 1
+    return bound - bounds.euler_normal(d, g, r)
 
 
 def cap_numerator(case: SieveCase, d: int, g: int) -> int:
@@ -620,12 +621,13 @@ def r3_genera(d: int) -> range:
 def r3_sieve(d: int, g: int) -> Verdict:
     """The r = 3 exclusion chain on the reduced range g >= 5, d <= g.
 
-    A configuration survives if 4d <= 4*alpha + 25 for some alpha from 3
-    to the case-1 alpha cap (zero-dimensional branch), or
-    4d <= i + 4*alpha + 25 for some alpha from 3 to the case-2 alpha
-    cap, i being the case-1 side variable, which bounds the dimension of
-    the series locus (positive-dimensional branch).  Witnesses carry
-    branch and slack.
+    A configuration survives if lambda <= 4*alpha + 25 for some alpha
+    from 3 to the case-1 alpha cap (zero-dimensional branch), or
+    lambda <= i + 4*alpha + 25 for some alpha from 3 to the case-2
+    alpha cap, i being the case-1 side variable, which bounds the
+    dimension of the series locus (positive-dimensional branch); lambda
+    is bounds.euler_normal, 4d at r = 3.  Witnesses carry branch and
+    slack, the bound minus lambda.
     """
     if g < 5:
         raise ValueError(f"r = 3 sieve requires g >= 5, got {g}")
@@ -634,16 +636,18 @@ def r3_sieve(d: int, g: int) -> Verdict:
     found: list[R3Witness] = []
     top = alpha_cap(SieveCase.CASE1, d, g)
     i_top = cap_numerator(SieveCase.CASE1, d, g)
+    lam = bounds.euler_normal(d, g, 3)
     # Both slacks increase by at least 1 per unit of alpha, so each branch
-    # fires exactly on an upper interval of its alpha range.  Up to the
-    # case-2 cap i >= 1, as the positive-dimensional branch needs.
-    lo = max(3, -(-(4 * d - 25) // 4))
+    # fires exactly on an upper interval of its alpha range, from the
+    # least alpha at which its slack is >= 0 (i + 4*alpha = i_top + alpha).
+    # Up to the case-2 cap i >= 1, as the positive-dimensional branch needs.
+    lo = max(3, -(-(lam - 25) // 4))
     for alpha in range(lo, top + 1):
-        found.append(R3Witness(alpha, "dim-w-0", 4 * alpha + 25 - 4 * d))
-    lo = max(3, 3 * d - 26)
+        found.append(R3Witness(alpha, "dim-w-0", 4 * alpha + 25 - lam))
+    lo = max(3, lam - i_top - 25)
     for alpha in range(lo, alpha_cap(SieveCase.CASE2, d, g) + 1):
         i = i_top - 3 * alpha
-        found.append(R3Witness(alpha, "dim-w-pos", i + 4 * alpha + 25 - 4 * d))
+        found.append(R3Witness(alpha, "dim-w-pos", i + 4 * alpha + 25 - lam))
     if found:
         return Verdict(SURVIVORS, tuple(found))
     if top < 3:

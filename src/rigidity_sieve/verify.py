@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bounds, sieve, surfaces
-from .bounds import CurveClass
 from .sieve import Ineq, SieveCase
 from .surfaces import DivisorClass
 
@@ -82,7 +81,7 @@ def verify_spot_values(grid_max: int = 50) -> VerificationReport:
     check("pi(9,3)", bounds.max_genus_pi(9, 3), 12)
     check("pi1(8,3)", bounds.castelnuovo_profile(8, 3).pi1, 7)
     check("pi1(9,3)", bounds.castelnuovo_profile(9, 3).pi1, 10)
-    check("rho(9,8,3)", bounds.brill_noether(CurveClass(9, 8, 3)), 0)
+    check("rho(9,8,3)", bounds.brill_noether(9, 8, 3), 0)
     check("image_dim(8,h1=0)", bounds.image_dim_r3(8, 0), 17)
     check("image_dim(8,h1=1)", bounds.image_dim_r3(8, 1), 18)
     check("image_dim(9,h1=0)", bounds.image_dim_r3(9, 0), 21)
@@ -95,7 +94,7 @@ def verify_spot_values(grid_max: int = 50) -> VerificationReport:
     check("quadric_types(9,12)", bounds.quadric_types(9, 12), [(5, 4)])
     for d in range(1, grid_max + 1):
         for g in range(0, grid_max + 1):
-            check(f"lambda({d},{g},3)", bounds.euler_normal(CurveClass(d, g, 3)), 4 * d)
+            check(f"lambda({d},{g},3)", bounds.euler_normal(d, g, 3), 4 * d)
     return report
 
 
@@ -632,7 +631,7 @@ def verify_thm_r3(d_max: int) -> VerificationReport:
                 {"part": "c", "d": d, "g": g, "got": got.render(), "want": want.render()}
             )
     report.checked += 1
-    lam = bounds.euler_normal(CurveClass(8, 7, 3))
+    lam = bounds.euler_normal(8, 7, 3)
     classified = sieve.r3_classify(8, 7).image_dim
     if not (
         lam == 32

@@ -9,7 +9,6 @@ wall-clock ceilings enforced where the criterion states one.
 import time
 
 from rigidity_sieve import bounds, sieve, verify
-from rigidity_sieve.bounds import CurveClass
 from rigidity_sieve.sieve import Ineq, SieveCase
 from rigidity_sieve.surfaces import DivisorClass
 from rigidity_sieve import surfaces
@@ -51,7 +50,7 @@ def test_criterion_02_identity_suite():
 
     for d in range(1, 201):
         for g in range(0, 201):
-            rho = bounds.brill_noether(CurveClass(d, g, 3))
+            rho = bounds.brill_noether(d, g, 3)
             if 3 * g - 3 + rho != 4 * d - 15:
                 mismatches += 1
 

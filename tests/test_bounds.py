@@ -24,34 +24,34 @@ class TestCurveClass:
 
 class TestBrillNoether:
     def test_spot_zero(self):
-        assert bounds.brill_noether(CurveClass(9, 8, 3)) == 0
+        assert bounds.brill_noether(9, 8, 3) == 0
 
     def test_matches_definition_on_grid(self):
         for r in (3, 4, 5, 9):
             for d in range(1, 40):
                 for g in range(0, 40):
-                    got = bounds.brill_noether(CurveClass(d, g, r))
+                    got = bounds.brill_noether(d, g, r)
                     assert got == g - (r + 1) * (g - d + r)
 
     def test_survivor_example(self):
-        assert bounds.brill_noether(CurveClass(30, 34, 9)) == -96
+        assert bounds.brill_noether(30, 34, 9) == -96
 
 
 class TestEulerNormal:
     def test_space_curves_are_4d(self):
         for d in range(1, 60):
             for g in range(0, 60, 7):
-                assert bounds.euler_normal(CurveClass(d, g, 3)) == 4 * d
+                assert bounds.euler_normal(d, g, 3) == 4 * d
 
     def test_matches_definition(self):
         for r in (4, 7, 11):
             for d in range(1, 30):
                 for g in range(0, 30):
-                    got = bounds.euler_normal(CurveClass(d, g, r))
+                    got = bounds.euler_normal(d, g, r)
                     assert got == (r + 1) * d - (r - 3) * (g - 1)
 
     def test_survivor_example(self):
-        assert bounds.euler_normal(CurveClass(30, 34, 9)) == 102
+        assert bounds.euler_normal(30, 34, 9) == 102
 
 
 class TestMaxGenusPi:

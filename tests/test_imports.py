@@ -4,8 +4,10 @@ binds a sibling module's function to a name of its own, so a test that
 monkeypatches the function (criterion 10 patches
 bounds.castelnuovo_profile) reaches every caller; and every private
 top-level function is called somewhere in the package, so a helper
-cannot outlive its last caller; and no module reads a private attribute
-of a sibling module, so each module's private names stay its own."""
+cannot outlive its last caller; no module reads a private attribute
+of a sibling module, so each module's private names stay its own; and
+only cli builds a CurveClass, the input check of `query`, so the
+invariants and the sieve read plain integers."""
 
 import ast
 
@@ -128,3 +130,30 @@ def test_the_check_finds_a_sibling_private_read():
         "x = bounds.castelnuovo_profile(5, 3)._replace(pi1=0)\ny = bounds._cache\n_own()\n"
     )
     assert sibling_private_reads(source) == ["sieve._spans", "bounds._cache"]
+
+
+def curve_class_builders(modules):
+    """The modules (name -> source) with a call CurveClass(...) or
+    m.CurveClass(...), in module order."""
+    return [
+        name
+        for name, source in modules.items()
+        if any(
+            isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "CurveClass"
+            for node in ast.walk(ast.parse(source))
+        )
+    ]
+
+
+def test_only_cli_builds_a_curve_class():
+    assert curve_class_builders(MODULES) == ["cli"]
+
+
+def test_the_check_finds_a_curve_class_builder():
+    modules = {
+        "a": "from .bounds import CurveClass\n\n\ndef f(d, g, r):\n    return CurveClass\n",
+        "b": "from . import bounds\n\nx = bounds.euler_normal(bounds.CurveClass(8, 7, 3))\n",
+        "c": "from .bounds import CurveClass\n\nCurveClass(1, 0, 3)\n",
+    }
+    assert curve_class_builders(modules) == ["b", "c"]

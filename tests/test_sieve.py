@@ -39,6 +39,16 @@ def naive_series_locus_bound(d, g, alpha):
     return d - 3 * alpha + 1 if d <= g else 2 * d - 3 * alpha - g + 1
 
 
+def naive_case_slack(case, d, g, r, alpha):
+    """Each case's slack as its own expanded formula, lambda and the
+    side variable substituted by hand."""
+    if case is SieveCase.CASE2:
+        return (r - 3) * g - r * d + (r - 2) * alpha + 4
+    if case is SieveCase.CASE4:
+        return (r - 4) * g - (r - 1) * d + (r - 2) * alpha + 4
+    return (r - 3) * g - (r + 1) * (d - alpha) + 3
+
+
 def naive_scan_config_list(d, g, r):
     """Definitional witness enumeration: every (alpha, case) from r to the
     embedding cap passing slack, the case alpha-cap and the genus caps."""
@@ -49,7 +59,7 @@ def naive_scan_config_list(d, g, r):
         if (case in (SieveCase.CASE1, SieveCase.CASE2)) != (d < g):
             continue
         for alpha in range(r, min(emb, sieve.alpha_cap(case, d, g)) + 1):
-            if sieve.case_slack(case, d, g, r, alpha) < 0:
+            if naive_case_slack(case, d, g, r, alpha) < 0:
                 continue
             if not naive_genus_caps_ok(d, g, alpha):
                 continue
@@ -60,8 +70,8 @@ def naive_scan_config_list(d, g, r):
 
 def naive_alpha_window(case, d, g, r):
     """The alpha window of a case at (d, g), spelled out: every
-    alpha >= r with case_slack >= 0 and alpha <= alpha_cap."""
-    return [alpha for alpha in range(r, sieve.alpha_cap(case, d, g) + 1) if sieve.case_slack(case, d, g, r, alpha) >= 0]
+    alpha >= r with naive_case_slack >= 0 and alpha <= alpha_cap."""
+    return [alpha for alpha in range(r, sieve.alpha_cap(case, d, g) + 1) if naive_case_slack(case, d, g, r, alpha) >= 0]
 
 
 def naive_span_windows(d, r, top):
@@ -163,6 +173,17 @@ class TestCaseMachinery:
         assert sieve.case_slack(SieveCase.CASE2, 30, 34, 9, 9) == 1
         assert sieve.case_slack(SieveCase.CASE2, 30, 33, 9, 9) == -5
         assert sieve.case_slack(SieveCase.CASE1, 30, 33, 9, 9) == -9
+
+    @given(
+        d=st.integers(1, 2**63 - 1),
+        g=st.integers(0, 2**63 - 1),
+        r=st.integers(4, 2**20),
+        alpha=st.integers(0, 2**63 - 1),
+    )
+    def test_case_slack_is_the_expanded_formula_up_to_the_input_ceiling(self, d, g, r, alpha):
+        # The dimension bound minus lambda against each case's formula.
+        for case in SieveCase:
+            assert sieve.case_slack(case, d, g, r, alpha) == naive_case_slack(case, d, g, r, alpha), case
 
     def test_case_slack_increasing_in_alpha(self):
         for case in SieveCase:
@@ -290,7 +311,7 @@ class TestScan:
                 case,
                 d + 1 - 3 * alpha,
                 d - 3 * alpha,
-                sieve.case_slack(case, d, g, r, alpha),
+                naive_case_slack(case, d, g, r, alpha),
                 bounds.castelnuovo_profile(d, alpha),
             )
             for alpha, case in naive_scan_config_list(d, g, r)

@@ -1003,6 +1003,25 @@ class TestMutationDetection:
         lower(SieveCase.CASE4)
         assert any(v["part"] == "a" for v in verify.verify_r_ge_11(11, 80).violations)
 
+    def test_euler_normal_raised_by_1_reaches_every_reader(self, monkeypatch):
+        # case_slack (and so scan, the spans and derived_slack), the
+        # r = 3 chain's slacks, the spot values, part (d) of the r = 3
+        # suite and query's invariant panel all read lambda off
+        # bounds.euler_normal.
+        real = bounds.euler_normal
+        assert sieve.case_slack(SieveCase.CASE2, 30, 34, 9, 9) == 1
+        assert sieve.r3_sieve(9, 9).witnesses == (sieve.R3Witness(3, "dim-w-0", 1), sieve.R3Witness(3, "dim-w-pos", 2))
+        assert verify.verify_spot_values().ok
+        assert not any(v["part"] == "d" for v in verify.verify_thm_r3(10).violations)
+        assert cli.build_query_report(30, 34, 9)["invariants"]["lambda"] == 102
+
+        monkeypatch.setattr(bounds, "euler_normal", lambda d, g, r: real(d, g, r) + 1)
+        assert sieve.case_slack(SieveCase.CASE2, 30, 34, 9, 9) == 0
+        assert sieve.r3_sieve(9, 9).witnesses == (sieve.R3Witness(3, "dim-w-0", 0), sieve.R3Witness(3, "dim-w-pos", 1))
+        assert not verify.verify_spot_values().ok
+        assert any(v["part"] == "d" for v in verify.verify_thm_r3(10).violations)
+        assert cli.build_query_report(30, 34, 9)["invariants"]["lambda"] == 103
+
     def test_mu_raised_at_eps_0_reaches_every_reader(self, monkeypatch):
         # castelnuovo_profile, derived_slack's convention check and the
         # derived suite's own-inequality reads all read bounds.mu.
