@@ -8,26 +8,8 @@ cross-multiplication against these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """A triple (d, g, r): degree-d, genus-g curves in projective r-space."""
-
-    d: int
-    g: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got {self.d}")
-        if self.g < 0:
-            raise ValueError(f"genus must be >= 0, got {self.g}")
-        if self.r < 3:
-            raise ValueError(f"ambient dimension must be >= 3, got {self.r}")
 
 
 class CastelnuovoProfile(NamedTuple):

@@ -25,7 +25,6 @@ import sys
 import time
 
 from . import bounds, sieve, surfaces, verify
-from .bounds import CurveClass
 from .surfaces import DivisorClass
 
 SCHEMA = "rigidity-sieve/1"
@@ -61,8 +60,14 @@ def build_query_report(d: int, g: int, r: int) -> dict:
     """The full invariant panel for one (d, g, r); keys are present
     exactly when the corresponding quantity is defined.  The verdict is
     a sieve.Verdict; for r >= 4 its witnesses are a sieve.WitnessStream,
-    which the writers below consume one witness at a time."""
-    CurveClass(d, g, r)  # refuses d < 1, g < 0 and r < 3
+    which the writers below consume one witness at a time.  Refuses
+    d < 1, then g < 0, then r < 3, before any invariant is read."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
+    if r < 3:
+        raise ValueError(f"ambient dimension must be >= 3, got {r}")
     invariants = {"rho": bounds.brill_noether(d, g, r), "lambda": bounds.euler_normal(d, g, r)}
     if d >= r:
         invariants["pi"] = bounds.max_genus_pi(d, r)

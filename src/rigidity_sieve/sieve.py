@@ -37,6 +37,10 @@ class SieveCase(enum.Enum):
         self.below = self.index <= 2
 
 
+# Iterating the Enum runs a Python-level generator; a tuple does not.
+_CASES = tuple(SieveCase)
+
+
 class Ineq(enum.Enum):
     """The four derived inequalities obtained by substituting the genus
     caps into the case systems (7/9 via pi1, 8/10 via pi2).  first: 7/9
@@ -60,6 +64,11 @@ class Ineq(enum.Enum):
     @property
     def partner(self) -> "Ineq":
         return Ineq(self._partner_value)
+
+    def divisor(self, alpha: int) -> int:
+        """The divisor q of this inequality's convention, d - 1 = m*q + eps:
+        alpha for INEQ7/INEQ9, alpha + 1 for INEQ8/INEQ10."""
+        return alpha if self.first else alpha + 1
 
     def division(self, profile: CastelnuovoProfile) -> tuple[int, int, int]:
         """(m, eps, mu) of the profile in this inequality's convention."""
@@ -244,34 +253,6 @@ def least_special_genus(d: int) -> int:
     return (d + 3) // 2
 
 
-def _gate(d: int, g: int, r: int) -> Optional[Verdict]:
-    """The verdict of scan when it is settled before any alpha is walked
-    (out of scope, non-special or no alpha), else None."""
-    _check_domain(d, r)
-    if g == 0:
-        return _OUT_OF_SCOPE_G0
-    if g < least_special_genus(d):
-        return _EXCLUDED_NON_SPECIAL
-    if embed_dim_cap(d, g) < r:
-        return _EXCLUDED_NO_ALPHA
-    return None
-
-
-def scan(d: int, g: int, r: int) -> Verdict:
-    """Full sieve verdict for (d, g, r) with r >= 4.
-
-    Out-of-scope for genus 0; non-special exclusion for g = 1 or
-    d > 2g - 2; otherwise enumerates alpha from r up to the embedding
-    cap in the two applicable cases and returns all witnesses, or an
-    exclusion naming why none exist.
-    """
-    verdict = _gate(d, g, r)
-    if verdict is None:
-        found = tuple(iter_witnesses(d, g, r))
-        verdict = Verdict(SURVIVORS, found) if found else _EXCLUDED_INFEASIBLE
-    return verdict
-
-
 @dataclass(frozen=True)
 class WitnessStream:
     """The witnesses of scan(d, g, r) for output that writes them one at
@@ -285,18 +266,39 @@ class WitnessStream:
         return iter_witnesses(self.d, self.g, self.r)
 
 
+def _verdict(d: int, g: int, r: int, collect) -> Verdict:
+    """The sieve verdict of (d, g, r) with r >= 4, a survivor's witnesses
+    held as collect(WitnessStream(d, g, r)), built once the gates pass.
+
+    Out-of-scope for genus 0; non-special exclusion for g = 1 or
+    d > 2g - 2; no-alpha exclusion when the embedding cap is below r;
+    otherwise survivors exactly when the held witnesses have a first
+    one, else an all-cases-infeasible exclusion.
+    """
+    _check_domain(d, r)
+    if g == 0:
+        return _OUT_OF_SCOPE_G0
+    if g < least_special_genus(d):
+        return _EXCLUDED_NON_SPECIAL
+    if embed_dim_cap(d, g) < r:
+        return _EXCLUDED_NO_ALPHA
+    witnesses = collect(WitnessStream(d, g, r))
+    if next(iter(witnesses), None) is None:
+        return _EXCLUDED_INFEASIBLE
+    return Verdict(SURVIVORS, witnesses)
+
+
 def scan_streamed(d: int, g: int, r: int) -> Verdict:
-    """scan(d, g, r) with a survivor verdict's witnesses left as a
+    """The sieve verdict of (d, g, r), a survivor's witnesses left as a
     WitnessStream, so that memory does not grow with their number; only
     the first witness is enumerated here, to settle the outcome."""
-    verdict = _gate(d, g, r)
-    if verdict is None:
-        witnesses = WitnessStream(d, g, r)
-        if next(iter(witnesses), None) is None:
-            verdict = _EXCLUDED_INFEASIBLE
-        else:
-            verdict = Verdict(SURVIVORS, witnesses)
-    return verdict
+    return _verdict(d, g, r, lambda stream: stream)
+
+
+def scan(d: int, g: int, r: int) -> Verdict:
+    """The verdict of scan_streamed(d, g, r), a survivor's witnesses
+    collected into a tuple by the one walk that settles the outcome."""
+    return _verdict(d, g, r, tuple)
 
 
 class _Span(NamedTuple):
@@ -338,7 +340,7 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
     alpha of a span has an empty interval.
     """
     spans = []
-    for case in SieveCase:
+    for case in _CASES:
         g_lo, g_hi = (max(g_min, d + 1), g_max) if case.below else (g_min, min(g_max, d))
         # At r = 4, 5 cases 3/4 have no alpha at any g: with 3*alpha at
         # most 2d - g + 1 (case 3) or 2d - g (case 4), the slack is at
@@ -516,9 +518,9 @@ def witnesses_by_genus(d: int, r: int, g_top: int) -> dict:
 
 def check_division(which: Ineq, alpha: int, eps: int, mu: int) -> None:
     """Raise ValueError unless eps is a remainder of the division
-    convention of the inequality (0..alpha-1 for INEQ7/INEQ9, 0..alpha
-    for INEQ8/INEQ10) and mu its correction, bounds.mu."""
-    if not 0 <= eps <= (alpha - 1 if which.first else alpha):
+    convention of the inequality (0..divisor - 1, Ineq.divisor) and mu
+    its correction, bounds.mu."""
+    if not 0 <= eps < which.divisor(alpha):
         raise ValueError(f"eps={eps} out of range for alpha={alpha}")
     if mu != bounds.mu(eps, alpha, which.first):
         raise ValueError(f"mu={mu} inconsistent with eps={eps}, alpha={alpha}")
@@ -527,9 +529,9 @@ def check_division(which: Ineq, alpha: int, eps: int, mu: int) -> None:
 def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) -> int:
     """Twice the case slack at pi: the source case's slack (case_slack
     of which.case) at the degree d = m*q + eps + 1, q the divisor of the
-    convention, and at the genus bound g = pi1 or pi2 of that division
-    (bounds.castelnuovo_bound).  The paper's expansions of these
-    inequalities carry (r-3)/2 as a coefficient, and twice clears it.
+    convention (Ineq.divisor), and at the genus bound g = pi1 or pi2 of
+    that division (bounds.castelnuovo_bound).  The paper's expansions of
+    these inequalities carry (r-3)/2 as a coefficient, and twice clears it.
 
     INEQ7/INEQ9 take (m, eps, mu) in the alpha-division convention
     (0 <= eps <= alpha-1) and are satisfied when the value is > 0;
@@ -542,7 +544,7 @@ def derived_slack(which: Ineq, r: int, alpha: int, m: int, eps: int, mu: int) ->
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     check_division(which, alpha, eps, mu)
-    d = m * (alpha if which.first else alpha + 1) + eps + 1
+    d = m * which.divisor(alpha) + eps + 1
     pi = bounds.castelnuovo_bound(m, eps, mu, alpha, which.first)
     return 2 * case_slack(which.case, d, pi, r, alpha)
 

@@ -228,7 +228,7 @@ def _claim_window(claim: tuple, alpha: int, m_max: int) -> tuple:
     c*v op a*alpha + b from its least d up; fail is the larger of the two.
     """
     which, k, c, op, a, b = claim
-    q = alpha if which.first else alpha + 1
+    q = which.divisor(alpha)
     side_at_0 = _side(which, alpha, 0)
     fail = max(k * q + 1, -(-(a * alpha + b + (op == ">")) // c) - side_at_0)
     return max(alpha + 2, -side_at_0), fail, (m_max + 1) * q
@@ -303,7 +303,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
         partner = which.partner
         text = _claim_text(claim)
         for alpha in range(alpha_lo, alpha_max + 1):
-            q = alpha if which.first else alpha + 1
+            q = which.divisor(alpha)
             lo, fail, top = _claim_window(claim, alpha, m_max)
             report.checked += top - lo + 1
             form_m, partner_forms = None, {}
@@ -341,7 +341,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
         hits = set()
         ineq10 = next(claim for claim in _DERIVED_CLAIMS[r] if claim[0] is Ineq.INEQ10)
         for alpha in range(alpha_lo, alpha_max + 1):
-            q = alpha + 1
+            q = Ineq.INEQ10.divisor(alpha)
             base, per_eps, per_mu = _linear_form(Ineq.INEQ10, r, alpha, 2)
             # The degrees of m2 = 2 in the universe of the tenth inequality.
             for d in range(max(2 * q + 1, _claim_window(ineq10, alpha, m_max)[0]), 3 * q + 1):

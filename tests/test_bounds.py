@@ -3,23 +3,6 @@
 import pytest
 
 from rigidity_sieve import bounds
-from rigidity_sieve.bounds import CurveClass
-
-
-class TestCurveClass:
-    def test_valid(self):
-        c = CurveClass(9, 8, 3)
-        assert (c.d, c.g, c.r) == (9, 8, 3)
-
-    @pytest.mark.parametrize("d,g,r", [(0, 5, 3), (-1, 5, 4), (5, -1, 4), (5, 5, 2)])
-    def test_rejects_out_of_domain(self, d, g, r):
-        with pytest.raises(ValueError):
-            CurveClass(d, g, r)
-
-    def test_frozen(self):
-        c = CurveClass(9, 8, 3)
-        with pytest.raises(Exception):
-            c.d = 10
 
 
 class TestBrillNoether:

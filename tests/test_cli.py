@@ -214,6 +214,27 @@ class TestQuery:
         assert "range_thm41" not in obj
         assert obj["verdict"]["outcome"] == "out-of-scope"
 
+    # (d, g, r) -> the refusal of query: the first of d < 1, g < 0 and
+    # r < 3 that holds, in that order.
+    REFUSALS = {
+        (0, 5, 3): "degree must be >= 1, got 0",
+        (-1, 5, 4): "degree must be >= 1, got -1",
+        (5, -1, 4): "genus must be >= 0, got -1",
+        (5, 5, 2): "ambient dimension must be >= 3, got 2",
+        (0, -1, 2): "degree must be >= 1, got 0",
+        (5, -1, 2): "genus must be >= 0, got -1",
+    }
+
+    @pytest.mark.parametrize("d,g,r", list(REFUSALS))
+    def test_rejects_out_of_domain(self, capsys, d, g, r):
+        code, out, err = run(capsys, "query", "--d", str(d), "--g", str(g), "--r", str(r))
+        assert (code, out, err) == (2, "", f"error: {self.REFUSALS[d, g, r]}\n")
+
+    def test_accepts_the_least_class(self, capsys):
+        code, out, err = run(capsys, "query", "--d", "1", "--g", "0", "--r", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("input: d=1 g=0 r=3\n")
+
     def test_malformed_input_exits_2(self, capsys):
         code, _, err = run(capsys, "query", "--d", "0", "--g", "5", "--r", "4")
         assert code == 2

@@ -1,13 +1,14 @@
-"""Every name a package module imports is used in that module, so an
-import left behind when its last reader goes is caught; no module
-binds a sibling module's function to a name of its own, so a test that
-monkeypatches the function (criterion 10 patches
-bounds.castelnuovo_profile) reaches every caller; and every private
-top-level function is called somewhere in the package, so a helper
-cannot outlive its last caller; no module reads a private attribute
-of a sibling module, so each module's private names stay its own; and
-only cli builds a CurveClass, the input check of `query`, so the
-invariants and the sieve read plain integers."""
+"""Lint checks over the package's modules:
+
+- every name a module imports is used in that module, so an import left
+  behind when its last reader goes is caught;
+- no module binds a sibling module's function to a name of its own, so
+  a test that monkeypatches the function (criterion 10 patches
+  bounds.castelnuovo_profile) reaches every caller;
+- every private top-level function is called somewhere in the package,
+  so a helper cannot outlive its last caller;
+- no module reads a private attribute of a sibling module, so each
+  module's private names stay its own."""
 
 import ast
 
@@ -62,7 +63,7 @@ def test_only_classes_are_imported_from_sibling_modules(path):
 
 
 def test_the_check_finds_a_bound_function():
-    source = "from . import bounds\nfrom .bounds import CurveClass, castelnuovo_profile\n"
+    source = "from . import bounds\nfrom .bounds import CastelnuovoProfile, castelnuovo_profile\n"
     assert bound_functions(source) == ["bounds.castelnuovo_profile"]
 
 
@@ -131,29 +132,3 @@ def test_the_check_finds_a_sibling_private_read():
     )
     assert sibling_private_reads(source) == ["sieve._spans", "bounds._cache"]
 
-
-def curve_class_builders(modules):
-    """The modules (name -> source) with a call CurveClass(...) or
-    m.CurveClass(...), in module order."""
-    return [
-        name
-        for name, source in modules.items()
-        if any(
-            isinstance(node, ast.Call)
-            and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "CurveClass"
-            for node in ast.walk(ast.parse(source))
-        )
-    ]
-
-
-def test_only_cli_builds_a_curve_class():
-    assert curve_class_builders(MODULES) == ["cli"]
-
-
-def test_the_check_finds_a_curve_class_builder():
-    modules = {
-        "a": "from .bounds import CurveClass\n\n\ndef f(d, g, r):\n    return CurveClass\n",
-        "b": "from . import bounds\n\nx = bounds.euler_normal(bounds.CurveClass(8, 7, 3))\n",
-        "c": "from .bounds import CurveClass\n\nCurveClass(1, 0, 3)\n",
-    }
-    assert curve_class_builders(modules) == ["b", "c"]

@@ -351,6 +351,23 @@ class TestScan:
                     # a stream enumerates afresh on every pass
                     assert tuple(streamed.witnesses) == verdict.witnesses
 
+    @given(
+        # The first range reaches the no-alpha gate, which needs d <= 3r - 2.
+        d=st.one_of(st.integers(1, 178), st.integers(1, 2**63 - 1)),
+        g=st.integers(0, 2**63 - 1),
+        r=st.integers(4, 60),
+    )
+    def test_streamed_verdict_matches_scan_where_the_gate_settles(self, d, g, r):
+        assume(g <= 1 or d > 2 * g - 2 or naive_embed_dim_cap(d, g) < r)
+        verdict = sieve.scan(d, g, r)
+        streamed = sieve.scan_streamed(d, g, r)
+        assert verdict.reasons in ((sieve.GENUS_ZERO,), (sieve.NON_SPECIAL,), (sieve.NO_ALPHA,))
+        assert (streamed.outcome, tuple(streamed.witnesses), streamed.reasons) == (
+            verdict.outcome,
+            verdict.witnesses,
+            verdict.reasons,
+        )
+
     def test_survivor_pin(self):
         verdict = sieve.scan(30, 34, 9)
         assert verdict.outcome == sieve.SURVIVORS
@@ -978,6 +995,16 @@ class TestDerivedInequalities:
                         want10 = 2 * ((r - 3) * prof.pi2 - r * d + (r - 2) * alpha + 4)
                         assert sieve.derived_slack(Ineq.INEQ8, r, alpha, m, eps, mu) == want8
                         assert sieve.derived_slack(Ineq.INEQ10, r, alpha, m, eps, mu) == want10
+
+    @given(which=st.sampled_from(Ineq), alpha=st.integers(8, 200), data=st.data())
+    def test_divisor_is_the_profile_division(self, which, alpha, data):
+        # d - 1 = m*divisor + eps with 0 <= eps < divisor, in the profile's
+        # division of the inequality's convention.
+        d = data.draw(st.integers(alpha + 2, 10**6), label="d")
+        m, eps, _ = which.division(bounds.castelnuovo_profile(d, alpha))
+        divisor = which.divisor(alpha)
+        assert m * divisor + eps == d - 1
+        assert 0 <= eps < divisor
 
     def test_value_pins(self):
         assert sieve.derived_slack(Ineq.INEQ7, 4, 8, 8, 7, 1) == -56
