@@ -53,6 +53,12 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_ambient_dimension(r: int) -> None:
+    """Refuse r < 3, for query and sweep alike."""
+    if r < 3:
+        raise ValueError(f"ambient dimension must be >= 3, got {r}")
+
+
 # ---------------------------------------------------------------- query
 
 
@@ -66,8 +72,7 @@ def build_query_report(d: int, g: int, r: int) -> dict:
         raise ValueError(f"degree must be >= 1, got {d}")
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    if r < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {r}")
+    _check_ambient_dimension(r)
     invariants = {"rho": bounds.brill_noether(d, g, r), "lambda": bounds.euler_normal(d, g, r)}
     if d >= r:
         invariants["pi"] = bounds.max_genus_pi(d, r)
@@ -236,8 +241,7 @@ def render_sweep_csv(rows: list) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.r < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {args.r}")
+    _check_ambient_dimension(args.r)
     if args.r == 3 and args.in_range_only:
         raise ValueError("--in-range-only requires r >= 4")
     started = time.monotonic()

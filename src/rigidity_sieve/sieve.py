@@ -219,25 +219,26 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     alpha caps and genus caps, in (alpha, case) order, built only as the
     iterator reaches it.
 
-    One ascending walk over the union of the applicable case windows
-    (the alpha windows of _spans at g): the genus caps and the profile
-    do not depend on the case, so each is evaluated once per alpha.  The
-    union has no gap, since the first case's window ends at or one above
-    the second's.  The gates of scan are not applied here.
+    The alpha windows of the cases that apply at g are the _spans at
+    g_min = g_max = g, and the alpha line is cut by _alpha_segments, the
+    cutter _span_intervals walks too.  The genus caps (genus_caps_ok)
+    and the profile do not depend on the case, so each is read once per
+    alpha a window holds, and each span that holds it gives a witness.
+    The gates of scan are not applied here.
     """
-    windows = [(span.case, span.alpha_lo, span.alpha_hi) for span in _spans(d, r, g, g)]
-    if not windows:
+    spans = _spans(d, r, g, g)
+    if not spans:
         return
     i_top = cap_numerator(SieveCase.CASE1, d, g)
     j_top = cap_numerator(SieveCase.CASE2, d, g)
-    for alpha in range(min(w[1] for w in windows), max(w[2] for w in windows) + 1):
-        if not genus_caps_ok(d, g, alpha):
-            continue
-        profile = bounds.castelnuovo_profile(d, alpha)
-        i, j = i_top - 3 * alpha, j_top - 3 * alpha
-        for case, lo, hi in windows:
-            if lo <= alpha <= hi:
-                yield SieveWitness(alpha, case, i, j, profile, case_slack(case, d, g, r, alpha))
+    for start, stop, active in _alpha_segments([(span, span.alpha_lo, span.alpha_hi) for span in spans]):
+        for alpha in range(start, stop):
+            if not genus_caps_ok(d, g, alpha):
+                continue
+            profile = bounds.castelnuovo_profile(d, alpha)
+            i, j = i_top - 3 * alpha, j_top - 3 * alpha
+            for span in active:
+                yield SieveWitness(alpha, span.case, i, j, profile, case_slack(span.case, d, g, r, alpha))
 
 
 def _check_domain(d: int, r: int) -> None:
@@ -369,16 +370,28 @@ def _spans(d: int, r: int, g_min: int, g_max: int) -> list:
     return spans
 
 
-def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
-    """(alpha, case, g_lo, g_hi, cap) at every alpha lo..hi of every
-    piece (span, lo, hi), one per span in case order, in (alpha, case)
-    order, with cap = genus_cap(d, alpha), read once per alpha.  The
-    alpha line is cut where a piece starts or ends, so each alpha visits
-    only the spans that hold it."""
-    edges = sorted({lo for _, lo, _ in pieces} | {hi + 1 for _, _, hi in pieces})
+def _alpha_segments(pieces: list) -> Iterator[tuple]:
+    """(start, stop, active), ascending, for each run start..stop - 1 of
+    the alpha line on which the same pieces (item, lo, hi) hold alpha,
+    lo <= alpha <= hi; active lists their items in piece order.  The
+    line is cut where a piece starts or ends, an empty piece (lo > hi)
+    cuts nothing, and no run is yielded for the alphas no piece holds.
+    The one cutter of the alpha line, for iter_witnesses at one g and
+    _span_intervals over a genus range."""
+    edges = sorted({cut for _, lo, hi in pieces if lo <= hi for cut in (lo, hi + 1)})
     for start, stop in zip(edges, edges[1:]):
-        active = [span for span, lo, hi in pieces if lo <= start and stop <= hi + 1]
-        for alpha in range(start, stop) if active else ():
+        active = [item for item, lo, hi in pieces if lo <= start and stop <= hi + 1]
+        if active:
+            yield start, stop, active
+
+
+def _span_intervals(d: int, pieces: list) -> Iterator[tuple]:
+    """(alpha, case, g_lo, g_hi, cap) in (alpha, case) order: at every
+    alpha of every segment of the pieces (span, lo, hi) that
+    _alpha_segments cuts, one per span that holds alpha, in case order,
+    with cap = genus_cap(d, alpha), read once per alpha."""
+    for start, stop, active in _alpha_segments(pieces):
+        for alpha in range(start, stop):
             cap = genus_cap(d, alpha)
             for span in active:
                 yield (alpha, span.case, *span.interval(alpha), cap)

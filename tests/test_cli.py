@@ -18,6 +18,13 @@ from rigidity_sieve import bounds, cli, sieve, surfaces, verify
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
+def benchmark_reference(key):
+    """The recorded digest of `key` in bench/references.json, read and
+    never written."""
+    references = json.loads((SRC.parent / "bench" / "references.json").read_text(encoding="utf-8"))
+    return references[key]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -218,6 +225,7 @@ class TestQuery:
     # r < 3 that holds, in that order.
     REFUSALS = {
         (0, 5, 3): "degree must be >= 1, got 0",
+        (0, 5, 4): "degree must be >= 1, got 0",
         (-1, 5, 4): "degree must be >= 1, got -1",
         (5, -1, 4): "genus must be >= 0, got -1",
         (5, 5, 2): "ambient dimension must be >= 3, got 2",
@@ -235,10 +243,14 @@ class TestQuery:
         assert (code, err) == (0, "")
         assert out.startswith("input: d=1 g=0 r=3\n")
 
-    def test_malformed_input_exits_2(self, capsys):
-        code, _, err = run(capsys, "query", "--d", "0", "--g", "5", "--r", "4")
-        assert code == 2
-        assert "error:" in err
+    @pytest.mark.parametrize("d", range(980, 1001, 5))
+    def test_deep_smoke_matches_the_benchmark_reference(self, capsys, d):
+        # The recorded query-deep smoke digests (the text as printed): a
+        # survivor whose case-1 and case-2 windows share a long alpha
+        # run, which iter_witnesses walks.
+        code, out, _ = run(capsys, "query", "--r", "100", "--d", str(d), "--g", str(d + 1))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == benchmark_reference(f"query-deep/smoke/d={d}")
 
     def test_oversized_input_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -254,12 +266,11 @@ class TestQuery:
 
 class TestSweep:
     def test_r9_smoke_matches_the_benchmark_reference(self, capsys):
-        # The recorded sweep-r9 smoke digest (the CSV bytes as printed),
-        # read and never written.  Its rows read sieve.genus_intervals.
-        references = json.loads((SRC.parent / "bench" / "references.json").read_text(encoding="utf-8"))
+        # The recorded sweep-r9 smoke digest (the CSV bytes as printed).
+        # Its rows read sieve.genus_intervals.
         code, out, _ = run(capsys, "sweep", "--r", "9", "--d-max", "40")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == references["sweep-r9/smoke"]
+        assert hashlib.sha256(out.encode()).hexdigest() == benchmark_reference("sweep-r9/smoke")
 
     def test_csv_contract(self, capsys):
         code, out, _ = run(capsys, "sweep", "--r", "9", "--d-max", "31")
@@ -446,14 +457,13 @@ class TestVerify:
 
     def test_all_matches_the_benchmark_reference(self, capsys):
         # The recorded verify-all digest (JSON without metadata, as
-        # bench/workloads.py canonicalises it), read and never written.
-        references = json.loads((SRC.parent / "bench" / "references.json").read_text(encoding="utf-8"))
+        # bench/workloads.py canonicalises it).
         code, out, _ = run(capsys, "verify", "all", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         payload.pop("metadata")
         canonical = (json.dumps(payload, indent=2) + "\n").encode()
-        assert hashlib.sha256(canonical).hexdigest() == references["verify-all"]
+        assert hashlib.sha256(canonical).hexdigest() == benchmark_reference("verify-all")
 
     def test_suite_requires_r(self, capsys):
         code, _, err = run(capsys, "verify", "thm41")

@@ -472,6 +472,41 @@ def assert_intervals_match_scan(d, r, top):
         assert by_genus.get(g, []) == want, (d, r, top, g)
 
 
+class TestAlphaSegments:
+    @given(data=st.data(), top=st.sampled_from((40, 2**63 - 1)))
+    def test_runs_are_the_per_alpha_membership(self, data, top):
+        # Up to four pieces (index, lo, hi), their edges drawn near a few
+        # shared values, so that gaps, overlaps, shared and adjacent edges
+        # and empty pieces (lo > hi, as _under_pi and r11_intervals give)
+        # all occur.  Up to 40 each alpha is checked against the pieces
+        # that hold it; up to 2**63 - 1 the run bounds are.
+        pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5))
+        edge = st.builds(lambda v, step: min(max(v + step, 0), top), st.sampled_from(pool), st.integers(-1, 1))
+        pieces = [(index, lo, hi) for index, (lo, hi) in enumerate(data.draw(st.lists(st.tuples(edge, edge), max_size=4)))]
+
+        def holding(alpha):
+            return [index for index, lo, hi in pieces if lo <= alpha <= hi]
+
+        segments = list(sieve._alpha_segments(pieces))
+        # Ascending and disjoint; two runs that touch differ in pieces.
+        for (_, stop, active), (start, _, after) in zip(segments, segments[1:]):
+            assert stop < start or (stop == start and active != after), segments
+        # No non-empty piece starts or ends inside a run, so one set of
+        # pieces holds all of it.
+        for start, stop, active in segments:
+            assert start < stop
+            assert not any(start < cut < stop for _, lo, hi in pieces if lo <= hi for cut in (lo, hi + 1))
+            assert active == holding(start) == holding(stop - 1) != []
+        # The alphas outside every run, below, between and above them.
+        cuts = [-1] + [bound for start, stop, _ in segments for bound in (start, stop)] + [2**64]
+        for lo_gap, hi_gap in zip(cuts[::2], cuts[1::2]):
+            assert not any(max(lo, lo_gap) <= min(hi, hi_gap - 1) for _, lo, hi in pieces), (lo_gap, hi_gap)
+        if top == 40:
+            runs = {alpha: active for start, stop, active in segments for alpha in range(start, stop)}
+            for alpha in range(-1, top + 3):
+                assert runs.get(alpha, []) == holding(alpha), alpha
+
+
 class TestGenusIntervals:
     @settings(max_examples=40)
     @given(data=st.data(), d=st.integers(1, 3000), r=st.integers(4, 30))
