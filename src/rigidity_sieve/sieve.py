@@ -47,8 +47,7 @@ class Ineq(enum.Enum):
     read the first profile (m1, eps1, mu1; divisor alpha) and are strict,
     8/10 the second (divisor alpha + 1) and are not.  case: the source
     case, CASE1 for 7/8 (side variable i), CASE2 for 9/10 (j).
-    partner: 7 with 8, 9 with 10 (same case).  number: 7..10, a key
-    that hashes in C, where a member hashes by a Python-level call."""
+    partner: 7 with 8, 9 with 10 (same case)."""
 
     INEQ7 = "ineq7"
     INEQ8 = "ineq8"
@@ -56,7 +55,7 @@ class Ineq(enum.Enum):
     INEQ10 = "ineq10"
 
     def __init__(self, value: str) -> None:
-        self.number = number = int(value[4:])
+        number = int(value[4:])
         self.first = number % 2 == 1
         self.case = SieveCase.CASE1 if number <= 8 else SieveCase.CASE2
         self._partner_value = f"ineq{number + 1 if self.first else number - 1}"

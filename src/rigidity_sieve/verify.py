@@ -266,6 +266,13 @@ def check_derived_args(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) -> No
         raise ValueError(f"need m_max >= 2, got {m_max}")
 
 
+def _holds_at(which: Ineq, r: int, alpha: int, profile) -> bool:
+    """Whether the inequality holds at the profile's own division, read
+    through derived_slack, which raises ValueError on a (eps, mu) off the
+    convention (sieve.check_division)."""
+    return sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, *which.division(profile)))
+
+
 def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) -> VerificationReport:
     """Check the per-r consequences of the four derived inequalities.
 
@@ -275,19 +282,22 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
     case evaluated at the induced (d, alpha) — the two inequalities of a
     case arise together, and several claimed consequences are sharp only
     in that joint context.  A tuple satisfying all of that but violating
-    the claimed consequence is a violation.  Both inequalities are
-    evaluated through their linear form in (eps, mu), read once per
-    (inequality, alpha, m), and only at the degrees where the claim
-    fails (_claim_window).
+    the claimed consequence is a violation.  One walk visits each
+    (claim, alpha, d) where the claim fails (_claim_window).  The
+    inequality's own test is its linear form in (eps, mu), read once per
+    (inequality, alpha, m), at d's own division; the partner is read
+    once, through derived_slack at the profile of (d, alpha).
 
     For r = 9 the enumeration additionally rebuilds the set of (d, g)
     with a second-profile denominator of 2 passing the tenth inequality
-    and compares it against the two known points; for r = 4 the claims
-    are re-checked through a direct (d, alpha) enumeration and the two
-    encodings are cross-asserted.  A profile whose (eps, mu) breaks its
-    division convention (sieve.check_division), read by either loop, is
-    a violation of its own, listed once per (alpha, d) at the end, and
-    the enumeration goes on past that tuple, resp. that (alpha, d).
+    and compares it against the two known points.  For r = 4 the walk
+    also evaluates a cross encoding at each (claim, alpha, d): both
+    inequalities through derived_slack at the profile's own division;
+    the two key sets are cross-asserted at the end.  A profile whose
+    (eps, mu) breaks its division convention (sieve.check_division) is
+    a violation of its own, listed once per (alpha, d) at the end, with
+    the primary's error before the cross encoding's; the walk goes on
+    past that degree.
     """
     check_derived_args(r, alpha_max, m_max)
     alpha_lo = max(8, r)
@@ -296,8 +306,10 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
         {"r": r, "alpha": f"{alpha_lo}..{alpha_max}", "m_max": m_max},
     )
     tuple_violations = []
-    # (alpha, d) -> the error of a profile that breaks its convention.
-    convention = {}
+    # (alpha, d) -> the error of a profile that breaks its convention,
+    # as the primary and as the r = 4 cross encoding met it.
+    convention, cross_convention = {}, {}
+    cross = []
     for claim in _DERIVED_CLAIMS[r]:
         which = claim[0]
         partner = which.partner
@@ -306,35 +318,41 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
             q = which.divisor(alpha)
             lo, fail, top = _claim_window(claim, alpha, m_max)
             report.checked += top - lo + 1
-            form_m, partner_forms = None, {}
+            form_m = None
             for d in range(lo, min(fail, top + 1)):
                 m, eps = divmod(d - 1, q)
                 if m != form_m:
                     form_m, (base, per_eps, per_mu) = m, _linear_form(which, r, alpha, m)
                 mu = bounds.mu(eps, alpha, which.first)
-                if base + per_eps * eps + per_mu * mu < 0:
+                own = base + per_eps * eps + per_mu * mu >= 0
+                if not own and r != 4:
                     continue
-                m_p, eps_p, mu_p = partner.division(bounds.castelnuovo_profile(d, alpha))
+                prof = bounds.castelnuovo_profile(d, alpha)
+                if r == 4:
+                    try:
+                        if _holds_at(which, r, alpha, prof) and _holds_at(partner, r, alpha, prof):
+                            cross.append((which.value, d, alpha))
+                    except ValueError as exc:
+                        cross_convention.setdefault((alpha, d), str(exc))
+                    if not own:
+                        continue
                 try:
-                    sieve.check_division(partner, alpha, eps_p, mu_p)
+                    if not _holds_at(partner, r, alpha, prof):
+                        continue
                 except ValueError as exc:
                     convention.setdefault((alpha, d), str(exc))
                     continue
-                form = partner_forms.get(m_p)
-                if form is None:
-                    form = partner_forms[m_p] = _linear_form(partner, r, alpha, m_p)
-                if form[0] + form[1] * eps_p + form[2] * mu_p >= 0:
-                    tuple_violations.append(
-                        {
-                            "ineq": which.value,
-                            "claim": text,
-                            "alpha": alpha,
-                            "m": m,
-                            "eps": eps,
-                            "mu": mu,
-                            "d": d,
-                        }
-                    )
+                tuple_violations.append(
+                    {
+                        "ineq": which.value,
+                        "claim": text,
+                        "alpha": alpha,
+                        "m": m,
+                        "eps": eps,
+                        "mu": mu,
+                        "d": d,
+                    }
+                )
     report.violations.extend(tuple_violations)
 
     if r == 9:
@@ -367,38 +385,9 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
             report.violations.append({"check": "m2=2 pairs", "missing": list(pair)})
 
     if r == 4:
-        cross = []
-        for alpha in range(alpha_lo, alpha_max + 1):
-            # Per claim, read once per alpha: its universe's first degree
-            # and the end of the degrees where it fails there.
-            claims = []
-            for claim in _DERIVED_CLAIMS[r]:
-                lo, fail, top = _claim_window(claim, alpha, m_max)
-                claims.append((claim, claim[0], claim[0].partner, lo, min(fail, top + 1)))
-            # Below the first claim's universe and past the last degree
-            # where some claim fails, nothing is evaluated.
-            for d in range(min(lo for *_, lo, _ in claims), max(stop for *_, stop in claims)):
-                prof = bounds.castelnuovo_profile(d, alpha)
-                # Each inequality is evaluated at most once per (alpha, d),
-                # and only when a claim that fails there reaches it.
-                holds = {}
-                try:
-                    for claim, which, partner, lo, stop in claims:
-                        if not lo <= d < stop:
-                            continue
-                        for ineq in (which, partner):
-                            if ineq.number not in holds:
-                                value = sieve.derived_slack(ineq, r, alpha, *ineq.division(prof))
-                                holds[ineq.number] = sieve.derived_satisfied(ineq, value)
-                            if not holds[ineq.number]:
-                                break
-                        else:
-                            cross.append({"ineq": which.value, "claim": _claim_text(claim), "d": d, "alpha": alpha})
-                except ValueError as exc:
-                    convention.setdefault((alpha, d), str(exc))
         report.audit["cross_encoding_violations"] = len(cross)
         primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in tuple_violations}
-        cross_keys = {(v["ineq"], v["d"], v["alpha"]) for v in cross}
+        cross_keys = set(cross)
         if primary_keys != cross_keys:
             report.violations.append(
                 {
@@ -407,7 +396,7 @@ def verify_derived_claims(r: int, alpha_max: int, m_max: int = DERIVED_M_MAX) ->
                     "pair_only": sorted(cross_keys - primary_keys),
                 }
             )
-    for (alpha, d), error in sorted(convention.items()):
+    for (alpha, d), error in sorted({**cross_convention, **convention}.items()):
         report.violations.append({"check": "profile convention", "d": d, "alpha": alpha, "error": error})
     return report
 

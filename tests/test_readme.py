@@ -1,5 +1,6 @@
-"""The README's library quick tour, run as a doctest, and the module,
-private and snake_case names the README cites.
+"""The README's library quick tour, run as a doctest, the module,
+private and snake_case names the README cites, and the read counts it
+gives for the `derived` suite.
 
 `python -m doctest README.md` cannot run the tour, since the closing
 fence reads as expected output of the last example; so the fenced
@@ -11,7 +12,10 @@ import doctest
 import importlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
+
+from rigidity_sieve import bounds, verify
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -24,6 +28,11 @@ CITED_PRIVATE = re.compile(r"`(_[A-Za-z]\w*)`")
 # A bare snake_case name in backticks, such as `genus_cap` or
 # `iter_witnesses(d, g, r)`.
 CITED_SNAKE = re.compile(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\([^`]*\))?`")
+# The `derived` paragraph's read counts on the default universe: form
+# reads, profile reads, and the profile reads at r = 4.
+DERIVED_READS = re.compile(
+    r"the suite makes ([\d,]+) form reads and\s+([\d,]+) profile reads \(([\d,]+) of them at r = 4"
+)
 
 
 def test_quick_tour_runs():
@@ -68,3 +77,25 @@ def test_cited_snake_case_names_resolve():
                 known.update(inspect.signature(function).parameters)
     missing = [name for name in cited if name not in known]
     assert missing == []
+
+
+def test_derived_read_counts_are_the_counted_ones(monkeypatch):
+    # The counts on r = 4..10, alpha <= 60 and the default m_max, as
+    # verify_derived_claims makes them.
+    [stated] = DERIVED_READS.findall(README.read_text(encoding="utf-8"))
+    reads = Counter()
+
+    def counted(key, function):
+        def wrapper(*args):
+            reads[key] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, "castelnuovo_profile", counted("profile", bounds.castelnuovo_profile))
+    monkeypatch.setattr(verify, "_linear_form", counted("form", verify._linear_form))
+    assert verify.verify_derived_claims(4, 60).ok
+    at_r4 = reads["profile"]
+    for r in range(5, 11):
+        assert verify.verify_derived_claims(r, 60).ok
+    assert tuple(int(n.replace(",", "")) for n in stated) == (reads["form"], reads["profile"], at_r4)

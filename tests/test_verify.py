@@ -395,6 +395,63 @@ def naive_derived_primary(r, alpha_max, m_max, shift=0):
     return checked, tuple_violations
 
 
+# The r = 4 cross loop as verify_derived_claims ran it, a second walk
+# beside the primary, before the cross encoding moved into the one
+# walk: per alpha, each d from the least window lo up to the last degree
+# where some claim fails, each claim tested against its window, and each
+# inequality read at most once per (alpha, d), at that profile.
+
+
+def naive_r4_cross(alpha_max):
+    """(keys, errors): the (ineq, d, alpha) where a failing r = 4 claim
+    and its partner both hold at the profile of (d, alpha), and the first
+    convention error per (alpha, d)."""
+    keys, errors = [], {}
+    for alpha in range(8, alpha_max + 1):
+        claims = []
+        for claim in verify._DERIVED_CLAIMS[4]:
+            lo, fail, top = verify._claim_window(claim, alpha, verify.DERIVED_M_MAX)
+            claims.append((claim[0], lo, min(fail, top + 1)))
+        for d in range(min(lo for _, lo, _ in claims), max(stop for *_, stop in claims)):
+            holds = {}
+            try:
+                for which, lo, stop in claims:
+                    if not lo <= d < stop:
+                        continue
+                    for ineq in (which, LITERAL_PARTNER[which]):
+                        if ineq not in holds:
+                            holds[ineq] = naive_ineq_holds_at(ineq, 4, d, alpha)
+                        if not holds[ineq]:
+                            break
+                    else:
+                        keys.append((which.value, d, alpha))
+            except ValueError as exc:
+                errors.setdefault((alpha, d), str(exc))
+    return keys, errors
+
+
+def naive_primary_conventions(alpha_max, shift):
+    """The first convention error per (alpha, d) of the r = 4 primary on
+    the literal claims, each m floor raised by shift: the partner is read
+    at the profile of a tuple where the claim fails and the inequality's
+    own test passes."""
+    errors = {}
+    for which, _, consequence in LITERAL_CLAIMS[4]:
+        for alpha in range(8, alpha_max + 1):
+            for m, eps, mu, d in _consistent_tuples(which, alpha, verify.DERIVED_M_MAX):
+                i, j = d + 1 - 3 * alpha, d - 3 * alpha
+                side = i if which in (Ineq.INEQ7, Ineq.INEQ8) else j
+                if d < alpha + 2 or side < 0 or consequence(alpha, m - shift, eps, mu, i, j):
+                    continue
+                if not sieve.derived_satisfied(which, sieve.derived_slack(which, 4, alpha, m, eps, mu)):
+                    continue
+                try:
+                    naive_ineq_holds_at(LITERAL_PARTNER[which], 4, d, alpha)
+                except ValueError as exc:
+                    errors.setdefault((alpha, d), str(exc))
+    return errors
+
+
 def primary_parts(report):
     """checked and the tuple violations, without the r = 9 audit's and
     the r = 4 cross-assert's entries (those carry a "check" key)."""
@@ -408,43 +465,29 @@ def stricter_claims(r, shift=1):
 
 def expected_derived_reads(r, alpha_max, m_max):
     """The profile and linear-form reads of verify_derived_claims(r,
-    alpha_max, m_max), counted by brute force on the literal claims: its
-    primary loop reads both only at consistent tuples where the claim
-    fails (one primary form per (claim, alpha, m) with such a tuple; one
-    profile per such tuple passing its own inequality, and one partner
-    form per (claim, alpha) and partner quotient met there); the r = 4
-    cross loop reads one profile per (alpha, d) from the first degree of
-    some claim's universe up to the last degree where some claim fails;
-    the r = 9 audit one form per
-    alpha and one profile per m2 = 2 tuple passing the tenth
-    inequality."""
+    alpha_max, m_max), counted by brute force on the literal claims.  Its
+    walk visits only the consistent tuples where the claim fails, and
+    reads there one own form per (claim, alpha, m) with such a tuple,
+    and one profile per such tuple: at every one for r = 4, where the
+    cross encoding reads the profile too, and else at those passing
+    their own inequality.  The partner is read through derived_slack,
+    not through a form.  The r = 9 audit reads one form per alpha and
+    one profile per m2 = 2 tuple passing the tenth inequality."""
     reads = Counter()
-    # alpha -> the first degree of some claim's universe, and the last
-    # degree where some claim fails.
-    first_universe, last_failing = {}, Counter()
     for which, _, consequence in LITERAL_CLAIMS[r]:
-        partner = LITERAL_PARTNER[which]
         for alpha in range(max(8, r), alpha_max + 1):
-            failing_m, partner_m = set(), set()
+            failing_m = set()
             for m, eps, mu, d in _consistent_tuples(which, alpha, m_max):
                 i, j = d + 1 - 3 * alpha, d - 3 * alpha
                 side = i if which in (Ineq.INEQ7, Ineq.INEQ8) else j
-                if d < alpha + 2 or side < 0:
-                    continue
-                first_universe[alpha] = min(first_universe.get(alpha, d), d)
-                if consequence(alpha, m, eps, mu, i, j):
+                if d < alpha + 2 or side < 0 or consequence(alpha, m, eps, mu, i, j):
                     continue
                 failing_m.add(m)
-                last_failing[alpha] = max(last_failing[alpha], d)
-                if sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, m, eps, mu)):
+                if r == 4 or sieve.derived_satisfied(which, sieve.derived_slack(which, r, alpha, m, eps, mu)):
                     reads["profile"] += 1
-                    prof = REAL_PROFILE(d, alpha)
-                    partner_m.add(prof.m1 if partner in (Ineq.INEQ7, Ineq.INEQ9) else prof.m2)
-            reads["form"] += len(failing_m) + len(partner_m)
-    for alpha in range(max(8, r), alpha_max + 1):
-        if r == 4:
-            reads["profile"] += len(range(first_universe[alpha], last_failing[alpha] + 1))
-        if r == 9:
+            reads["form"] += len(failing_m)
+    if r == 9:
+        for alpha in range(max(8, r), alpha_max + 1):
             reads["form"] += 1
             for m, eps, mu, d in _consistent_tuples(Ineq.INEQ10, alpha, 2):
                 if m == 2 and d >= alpha + 2 and d >= 3 * alpha:
@@ -577,10 +620,44 @@ class TestDerivedClaims:
         assert bad[0] == {"check": "profile convention", "d": 24, "alpha": 8, "error": "mu=1 inconsistent with eps=5, alpha=8"}
         assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad) > 1
 
+    @pytest.mark.parametrize("mutation", list(MUTATION_MATRIX), ids=lambda mutation: mutation.__name__)
+    def test_r4_cross_encoding_matches_the_retired_walk(self, monkeypatch, mutation):
+        # The cross encoding inside the one walk finds the keys and the
+        # convention errors the separate per-alpha loop found; a primary
+        # error comes first at its (alpha, d).
+        monkeypatch.setattr(bounds, "castelnuovo_profile", mutation)
+        for shift in (0, 1, 2):
+            monkeypatch.setitem(verify._DERIVED_CLAIMS, 4, stricter_claims(4, shift))
+            report = verify.verify_derived_claims(4, 30)
+            keys, errors = naive_r4_cross(30)
+            assert report.audit["cross_encoding_violations"] == len(keys), shift
+            conventions = {(v["alpha"], v["d"]): v["error"] for v in report.violations if v.get("check") == "profile convention"}
+            assert conventions == {**errors, **naive_primary_conventions(30, shift)}, shift
+            primary_keys = {(v["ineq"], v["d"], v["alpha"]) for v in primary_parts(report)[1]}
+            asserted = [v for v in report.violations if v.get("check") == "encoding cross-assert"]
+            assert bool(asserted) == (primary_keys != set(keys)), shift
+
+    def test_r4_cross_assert_catches_a_fault_in_the_primary_alone(self, monkeypatch):
+        # Each own form's base lowered by 1 drops the failing tuples whose
+        # own inequality holds with no room from the primary only: the
+        # cross encoding reads derived_slack, not the forms.
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, 4, stricter_claims(4, 1))
+        real = verify._linear_form
+
+        def lowered(which, r, alpha, m):
+            base, per_eps, per_mu = real(which, r, alpha, m)
+            return base - 1, per_eps, per_mu
+
+        monkeypatch.setattr(verify, "_linear_form", lowered)
+        report = verify.verify_derived_claims(4, 30)
+        [entry] = [v for v in report.violations if v.get("check") == "encoding cross-assert"]
+        assert entry["tuple_only"] == [] and entry["pair_only"]
+        assert report.audit["cross_encoding_violations"] == len(naive_r4_cross(30)[0])
+
     @pytest.mark.parametrize("r", range(4, 11))
     def test_drop_mu2_case_reaches_the_convention_checks(self, monkeypatch, r):
-        # The primary loop checks the partner's (eps, mu) before its form
-        # is read.  drop_mu2_case corrupts only the second convention,
+        # The primary reads the partner through derived_slack, which
+        # checks its (eps, mu).  drop_mu2_case corrupts only the second convention,
         # which the claims of r = 8, 9 never read as a partner, and the
         # claims of r = 6, 7 read no partner at all on alpha <= 30: the
         # suite passes there under the mutation.  With every K raised by
@@ -629,7 +706,7 @@ class TestDerivedClaims:
                 report = verify.verify_derived_claims(r, alpha_max, m_max)
                 monkeypatch.undo()
                 assert primary_parts(report) == naive_derived_primary(r, alpha_max, m_max, shift)
-                # The r = 4 cross loop reaches every degree the primary does.
+                # The r = 4 cross encoding agrees with the primary.
                 assert [v for v in report.violations if "check" in v] == []
 
     @pytest.mark.parametrize("r", range(4, 11))
