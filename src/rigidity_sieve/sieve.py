@@ -222,8 +222,9 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
     g_min = g_max = g, and the alpha line is cut by _alpha_segments, the
     cutter _span_intervals walks too.  The genus caps (genus_caps_ok)
     and the profile do not depend on the case, so each is read once per
-    alpha a window holds, and each span that holds it gives a witness.
-    The gates of scan are not applied here.
+    alpha a window holds, and each span that holds it gives a witness
+    with the slack read off the span (_Span.slack).  The gates of scan
+    are not applied here.
     """
     spans = _spans(d, r, g, g)
     if not spans:
@@ -237,7 +238,7 @@ def iter_witnesses(d: int, g: int, r: int) -> Iterator[SieveWitness]:
             profile = bounds.castelnuovo_profile(d, alpha)
             i, j = i_top - 3 * alpha, j_top - 3 * alpha
             for span in active:
-                yield SieveWitness(alpha, span.case, i, j, profile, case_slack(span.case, d, g, r, alpha))
+                yield SieveWitness(alpha, span.case, i, j, profile, span.slack(g, alpha))
 
 
 def _check_domain(d: int, r: int) -> None:
@@ -304,7 +305,7 @@ def scan(d: int, g: int, r: int) -> Verdict:
 class _Span(NamedTuple):
     """One case's window intervals at one degree: at each alpha of
     alpha_lo..alpha_hi, the g of interval(alpha), within g_min..g_max.
-    The case's slack is at_zero + per_g*g + per_alpha*alpha, and in
+    The case's slack is the line slack(g, alpha), and in
     cases 3/4 the alpha cap reads g <= cap_top - 3*alpha (cap_top is
     None in cases 1/2, whose alpha caps read no g)."""
 
@@ -318,10 +319,14 @@ class _Span(NamedTuple):
     per_alpha: int
     cap_top: Optional[int]
 
+    def slack(self, g: int, alpha: int) -> int:
+        """The case's slack at (g, alpha), case_slack read off its line."""
+        return self.at_zero + self.per_g * g + self.per_alpha * alpha
+
     def interval(self, alpha: int) -> tuple[int, int]:
         """(g_lo, g_hi) at alpha: g_min raised to the slack's g floor,
         g_max lowered to the alpha cap's g ceiling."""
-        g_lo = max(self.g_min, -((self.at_zero + self.per_alpha * alpha) // self.per_g))
+        g_lo = max(self.g_min, -(self.slack(0, alpha) // self.per_g))
         g_hi = self.g_max if self.cap_top is None else min(self.g_max, self.cap_top - 3 * alpha)
         return g_lo, g_hi
 
@@ -424,7 +429,7 @@ def _under_pi(d: int, span: _Span) -> int:
         end = min(span.alpha_hi, n // m + 1)
         pi = bounds.castelnuovo_core(m, n - m * (alpha - 1), alpha - 1)
         step = pi - bounds.castelnuovo_core(m, n - m * alpha, alpha)
-        slack = span.at_zero + span.per_g * pi + span.per_alpha * alpha
+        slack = span.slack(pi, alpha)
         last = min(end, alpha + slack // (span.per_g * step - span.per_alpha), alpha + (pi - span.g_min) // step)
         if last < end:
             return max(last, alpha - 1)

@@ -518,6 +518,10 @@ def check_r5window_args(d_lo: int, d_hi: int) -> None:
     """Raise ValueError unless verify_r5_window accepts these bounds."""
     if not 1 <= d_lo <= d_hi:
         raise ValueError(f"need 1 <= d_lo <= d_hi, got ({d_lo}, {d_hi})")
+    # g runs from 2, and range_g_limit(1, 5) is 0, so a window of d = 1
+    # alone would pass with nothing checked; (2, 2) is its first point.
+    if d_hi < 2:
+        raise ValueError(f"the window d <= {d_hi} holds no point")
 
 
 def r5_window_limit(d: int) -> int:

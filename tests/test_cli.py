@@ -576,6 +576,12 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
+    def test_r5_window_without_a_point_exits_2(self, capsys):
+        # d = 1 has no g >= 2 in the r = 5 range, so the window checks nothing.
+        code, out, err = run(capsys, "verify", "r5window", "--d-lo", "1", "--d-hi", "1")
+        assert code == 2
+        assert out == "" and "holds no point" in err
+
     def test_no_exception_json_lists_the_r9_exception(self, capsys):
         argv = ("verify", "thm41", "--r", "9", "--d-max", "200", "--no-exception", "--format", "json")
         code, out, _ = run(capsys, *argv)

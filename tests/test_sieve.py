@@ -2,6 +2,7 @@
 hypothesis-range predicate, and the 3-space chain and classification."""
 
 import collections
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,14 @@ class TestCaseMachinery:
         for case in SieveCase:
             assert sieve.case_slack(case, d, g, r, alpha) == naive_case_slack(case, d, g, r, alpha), case
 
+    @given(data=st.data(), d=st.integers(1, 2**63 - 1), r=st.integers(4, 60))
+    def test_span_slack_is_case_slack_up_to_the_input_ceiling(self, data, d, r):
+        # The walks evaluate a case's slack off its span's line.
+        g_min, g_max = sorted(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2)))
+        for span in sieve._spans(d, r, g_min, g_max):
+            g, alpha = data.draw(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)))
+            assert span.slack(g, alpha) == sieve.case_slack(span.case, d, g, r, alpha), span.case
+
     def test_case_slack_increasing_in_alpha(self):
         for case in SieveCase:
             for alpha in range(4, 30):
@@ -339,6 +348,23 @@ class TestScan:
                     seen.clear()
                     sieve.scan(d, g, r)
                     assert seen == sorted(union), (d, g, r)
+
+    def test_case_slack_runs_only_in_spans(self, monkeypatch):
+        # Each witness reads its slack off its span (_Span.slack), so a
+        # scan calls case_slack three times per case that applies, all
+        # in _spans, however many witnesses it builds.
+        callers = []
+        real = sieve.case_slack
+
+        def counting(case, d, g, r, alpha):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(case, d, g, r, alpha)
+
+        monkeypatch.setattr(sieve, "case_slack", counting)
+        for point, witnesses in (((980, 981, 100), 454), ((30, 34, 9), 1)):
+            callers.clear()
+            assert len(sieve.scan(*point).witnesses) == witnesses, point
+            assert callers == ["_spans"] * 6, point
 
     def test_streamed_verdict_matches_scan(self):
         for r in (4, 9, 20):

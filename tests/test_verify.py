@@ -525,6 +525,32 @@ class TestReportShape:
         }
 
 
+# Each suite that takes bounds: its check, the suite, and its least
+# bounds, where lowering any one bound by 1 is refused (spots takes none).
+LEAST_BOUNDS = {
+    "r3": (verify.check_r3_args, verify.verify_thm_r3, (10,)),
+    "thm41": (verify.check_thm41_args, verify.verify_thm41, (4, 6)),
+    "derived": (verify.check_derived_args, verify.verify_derived_claims, (4, 8, 2)),
+    "case34": (verify.check_case34_args, verify.verify_case34_never, (4, 4, 2)),
+    "r11": (verify.check_r11_args, verify.verify_r_ge_11, (11, 1)),
+    "r5window": (verify.check_r5window_args, verify.verify_r5_window, (1, 2)),
+    "splits": (verify.check_splits_args, verify.verify_splits, (2, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("suite", list(LEAST_BOUNDS))
+def test_least_accepted_bounds_check_an_item(suite):
+    # A suite whose check accepts bounds that check nothing would pass
+    # vacuously, with exit 0.
+    check, run, least = LEAST_BOUNDS[suite]
+    check(*least)
+    for at in range(len(least)):
+        lowered = least[:at] + (least[at] - 1,) + least[at + 1 :]
+        with pytest.raises(ValueError):
+            check(*lowered)
+    assert run(*least).checked >= 1
+
+
 class TestSpotValues:
     def test_clean_pass(self):
         rep = verify.verify_spot_values()
@@ -619,6 +645,24 @@ class TestDerivedClaims:
         bad = [v for v in rep.violations if v.get("check") == "profile convention"]
         assert bad[0] == {"check": "profile convention", "d": 24, "alpha": 8, "error": "mu=1 inconsistent with eps=5, alpha=8"}
         assert len({(v["alpha"], v["d"]) for v in bad}) == len(bad) > 1
+
+    def test_primary_convention_error_wins_over_the_cross_encodings(self, monkeypatch):
+        # At (d, alpha) = (68, 8) the raised INEQ9 claim passes its own
+        # form, so the primary reads the partner INEQ10 and meets the
+        # second convention's error (eps2 = 4), while the cross encoding
+        # reads INEQ9 first and meets the first's (eps1 = 3).
+        monkeypatch.setitem(verify._DERIVED_CLAIMS, 4, stricter_claims(4, 1))
+
+        def both_mus_broken(d, alpha):
+            prof = REAL_PROFILE(d, alpha)
+            if (d, alpha) == (68, 8):
+                return prof._replace(mu1=prof.mu1 + 1, mu2=prof.mu2 + 1)
+            return prof
+
+        monkeypatch.setattr(bounds, "castelnuovo_profile", both_mus_broken)
+        report = verify.verify_derived_claims(4, 30)
+        bad = [v for v in report.violations if v.get("check") == "profile convention"]
+        assert bad == [{"check": "profile convention", "d": 68, "alpha": 8, "error": "mu=1 inconsistent with eps=4, alpha=8"}]
 
     @pytest.mark.parametrize("mutation", list(MUTATION_MATRIX), ids=lambda mutation: mutation.__name__)
     def test_r4_cross_encoding_matches_the_retired_walk(self, monkeypatch, mutation):
@@ -930,6 +974,29 @@ class TestR5Window:
         assert rep.universe["diagnostic"] is True
         assert rep.ok  # diagnostic mode records but never flags
 
+    def test_survivors_are_split_by_the_window_clause(self, monkeypatch):
+        # On the window every scanned g is in the r = 5 range, where scan
+        # finds no survivor, and g <= 5d/2 lies below the clause limit
+        # 3d - 23; so a lowered limit and an injected scan reach the
+        # survivor lines: g at the limit is a violation, g above it not.
+        real_limit = verify.r5_window_limit
+        monkeypatch.setattr(verify, "r5_window_limit", lambda d: real_limit(d) - 100)
+        limit = verify.r5_window_limit(101)
+        injected = {(101, limit), (101, limit + 1)}
+        survivor = sieve.Verdict(sieve.SURVIVORS, ("witness",))
+        excluded = sieve.Verdict(sieve.EXCLUDED, reasons=(sieve.ALL_CASES_INFEASIBLE,))
+        monkeypatch.setattr(sieve, "scan", lambda d, g, r: survivor if (d, g) in injected else excluded)
+        found = [
+            {"d": 101, "g": limit, "excluded_by_window": False},
+            {"d": 101, "g": limit + 1, "excluded_by_window": True},
+        ]
+        canonical = verify.verify_r5_window()
+        assert canonical.violations == [{"d": 101, "g": limit}]
+        assert canonical.audit["survivors"] == found
+        diagnostic = verify.verify_r5_window(100, 113)
+        assert diagnostic.ok
+        assert diagnostic.audit["survivors"] == found
+
 
 class TestThmR3:
     def test_clean_pass_with_known_survivors(self):
@@ -948,6 +1015,13 @@ class TestThmR3:
         with pytest.raises(ValueError):
             verify.verify_thm_r3(9)
 
+    def test_wrong_classification_is_a_part_c_violation(self, monkeypatch):
+        real = sieve.r3_classify
+        wrong = sieve.R3Classification(sieve.DOMINATES)
+        monkeypatch.setattr(sieve, "r3_classify", lambda d, g: wrong if (d, g) == (7, 6) else real(d, g))
+        report = verify.verify_thm_r3(10)
+        assert report.violations == [{"part": "c", "d": 7, "g": 6, "got": "dominates", "want": "exact-image(13)"}]
+
 
 class TestSplits:
     def test_clean_pass(self):
@@ -961,6 +1035,40 @@ class TestSplits:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
             verify.verify_splits(-1, 5, 2)
+
+    def test_split_off_by_one_fiber_fails_both_checks(self, monkeypatch):
+        # d1 moved by one fiber no longer sums to the input, on the grid
+        # (its one class is (2, 3, 0)) and in each canonical split.
+        real = surfaces.find_stable_split
+
+        def shifted(total):
+            cert = real(total)
+            d1 = cert.d1 + DivisorClass(0, 1, total.e)
+            return surfaces.SplitCertificate(d1, cert.d2, surfaces.intersect(d1, cert.d2))
+
+        monkeypatch.setattr(surfaces, "find_stable_split", shifted)
+        report = verify.verify_splits(2, 3, 0)
+        assert report.violations == [
+            {"a": 2, "b": 3, "e": 0, "certificate": {"d1": [1, 1, 0], "d2": [1, 3, 0], "intersection": 4}},
+            {
+                "check": "canonical split",
+                "input": (4, 9, 2),
+                "got": {"d1": [4, 9, 2], "d2": [0, 1, 2], "intersection": 4},
+                "want": [(4, 8, 2), (0, 1, 2), 4],
+            },
+            {
+                "check": "canonical split",
+                "input": (4, 4, 1),
+                "got": {"d1": [1, 2, 1], "d2": [3, 3, 1], "intersection": 6},
+                "want": [(1, 1, 1), (3, 3, 1), 3],
+            },
+            {
+                "check": "canonical split",
+                "input": (2, 5, 1),
+                "got": {"d1": [1, 1, 1], "d2": [1, 5, 1], "intersection": 5},
+                "want": [(1, 0, 1), (1, 5, 1), 4],
+            },
+        ]
 
     def test_refuses_exactly_the_grids_without_a_class(self):
         # A grid with no smooth irreducible class of genus >= 2 would
